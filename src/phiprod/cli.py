@@ -20,6 +20,7 @@ import numpy as np
 from . import oracles, verify
 from .identities import ScalarMixParams, VectorMixParams, cdf_product_scalar, \
     cdf_product_vector
+from .mvn_cdf import MvnEstimate
 from .pd_matrix import InternalConsistencyError, PdMatrix
 from .probit_bernoulli import ProbitBernoulli, SignVector
 
@@ -52,12 +53,16 @@ def _emit_json(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+def _estimate_report(command: str, est: MvnEstimate) -> dict:
+    return {"command": command, "value": est.value, "err_estimate": est.err_estimate,
+            "method": est.method, "n_points": est.n_points, "converged": est.converged}
+
+
 def cmd_scalar(args) -> int:
     params = ScalarMixParams(mu=args.mu, sigma2=args.sigma2,
                              m=_parse_reals(args.m), v=_parse_reals(args.v))
     est = cdf_product_scalar(params, accuracy=args.accuracy, seed=args.seed)
-    report = {"command": "scalar", "value": est.value,
-              "err_estimate": est.err_estimate, "method": est.method}
+    report = _estimate_report("scalar", est)
     code = 0
     if args.oracle:
         ref = oracles.cdf_product_scalar_quad(params, order=args.order)
@@ -84,8 +89,7 @@ def cmd_vector(args) -> int:
     params = VectorMixParams(mu=_parse_reals(args.mu), sigma=_load_cov(args.cov),
                              m=_parse_reals(args.m), v=_parse_reals(args.v))
     est = cdf_product_vector(params, accuracy=args.accuracy, seed=args.seed)
-    report = {"command": "vector", "value": est.value,
-              "err_estimate": est.err_estimate, "method": est.method}
+    report = _estimate_report("vector", est)
     code = 0
     if args.oracle:
         mc, se = oracles.cdf_product_vector_mc(params, draws=args.draws, seed=args.seed)
@@ -124,8 +128,7 @@ def cmd_pmf(args) -> int:
     d = ProbitBernoulli(_parse_reals(args.mu), _load_cov(args.cov))
     est = d.pmf(_sign_vector(args.y), accuracy=args.accuracy, seed=args.seed)
     if args.json:
-        _emit_json({"command": "pmf", "value": est.value,
-                    "err_estimate": est.err_estimate, "method": est.method})
+        _emit_json(_estimate_report("pmf", est))
     else:
         print(f"pmf = {_fmt(est.value)}  "
               f"(err_estimate {_fmt(est.err_estimate)}, {est.method})")

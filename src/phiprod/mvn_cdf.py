@@ -7,9 +7,14 @@ three paths:
 * N = 2: Owen's T decomposition of the bivariate CDF (exact to ~1e-13).
 * N >= 3: the Genz sequential-conditioning transform to the unit cube
   (Genz 1992) integrated with a randomly shifted, tent-periodized rank-1
-  lattice rule. The generating vector is a Korobov vector whose multiplier
-  is the odd integer nearest n times the golden-section ratio; 12
-  independent random shifts yield the estimate and an error bar of three
+  lattice rule. One embedded lattice serves every doubling level of a call
+  (Cools, Kuo & Nuyens 2006): a Korobov vector (1, a, a^2, ...) with the
+  fixed multiplier a = 81007, reduced modulo the largest level n_max that
+  the sample budget allows. Level n takes the indices k * (n_max / n), so
+  its points are the even-indexed points of level 2n. The 12 random shifts
+  are drawn once per call and kept for every level, and a running sum per
+  shift means that doubling evaluates only the n new odd-multiple points.
+  The 12 per-shift means yield the estimate and an error bar of three
   standard errors.
 
 Components with an upper limit of +inf are marginalized away exactly
@@ -34,7 +39,9 @@ _N_SHIFTS = 12
 _MIN_LATTICE = 1 << 10
 _DEFAULT_MAX_SAMPLES = (1 << 17) * _N_SHIFTS
 _RHO_LIMIT = 1.0 - 1e-12
-_GOLDEN_FRAC = 0.6180339887498949
+# odd(round(0.618 * 2^17)): the golden-section Korobov multiplier at the
+# default cap, odd so that it is coprime with every power-of-two level
+_KOROBOV_MULTIPLIER = 81007
 
 
 @dataclass(frozen=True)
@@ -43,12 +50,17 @@ class MvnEstimate:
 
     ``err_estimate`` is three standard errors over the lattice shifts for
     the QMC path and 0 for the exact paths. ``method`` is one of
-    ``univariate``, ``bivariate_owen`` or ``qmc_genz``.
+    ``univariate``, ``bivariate_owen`` or ``qmc_genz``. ``n_points`` is the
+    per-shift lattice size behind the value (0 on the exact paths), and
+    ``converged`` says whether ``err_estimate <= accuracy`` (always True on
+    the exact paths).
     """
 
     value: float
     err_estimate: float
     method: str
+    n_points: int = 0
+    converged: bool = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +69,9 @@ class MvnQuery:
 
     upper may contain +inf entries (marginalized exactly); accuracy is the
     target absolute error for the QMC path and must lie in (0, 0.1];
-    max_samples is the total QMC budget across the 12 shifts.
+    max_samples bounds the total number of lattice points the QMC path
+    evaluates across the 12 shifts (each point is evaluated once; one
+    1024-point level per shift is evaluated whatever the budget).
     """
 
     upper: np.ndarray
@@ -125,50 +139,70 @@ def bivariate_cdf(h: float, k: float, rho: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _korobov_vector(n_points: int, dim: int) -> np.ndarray:
-    # Korobov generating vector (1, a, a^2, ...) mod n with the multiplier
-    # the odd integer nearest golden-section * n (odd => coprime with 2^k).
-    a = int(round(_GOLDEN_FRAC * n_points)) | 1
+def _korobov_vector(n_max: int, dim: int) -> np.ndarray:
+    # (1, a, a^2, ...) reduced mod n_max, so that k * z[j] with k < n_max
+    # stays far inside int64 for any feasible lattice size
+    a = _KOROBOV_MULTIPLIER % n_max
     z = np.empty(dim, dtype=np.int64)
     acc = 1
     for j in range(dim):
         z[j] = acc
-        acc = (acc * a) % n_points
+        acc = (acc * a) % n_max
     return z
 
 
-def _genz_lattice_estimate(
-    chol: np.ndarray,
-    b: np.ndarray,
-    n_points: int,
-    seed: int,
-) -> tuple[float, float]:
-    """One randomized-lattice pass: returns (estimate, 3 * standard error)."""
+def _lattice_points(indices: np.ndarray, z: np.ndarray, n_max: int) -> np.ndarray:
+    """Unshifted points frac(k z / n_max) of the lattice, shape (dim, len(indices))."""
+    return (np.outer(z, indices) % n_max) / n_max
+
+
+def _genz_shift_sums(chol: np.ndarray, b: np.ndarray, e_first: float,
+                     points: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Sum of the Genz integrand over ``points`` under each shift."""
     n = b.shape[0]
-    dim = n - 1
-    e_first = float(ndtr(b[0] / chol[0, 0]))
-    z = _korobov_vector(n_points, dim)
-    k = np.arange(n_points, dtype=np.int64)
-    base = [((k * int(z[j])) % n_points) / n_points for j in range(dim)]
-    rng = np.random.default_rng([seed % (1 << 63), n_points])
-    shifts = rng.random((_N_SHIFTS, dim))
-    estimates = np.empty(_N_SHIFTS)
-    y = np.empty((dim, n_points))
-    for s in range(_N_SHIFTS):
-        prod = np.full(n_points, e_first)
+    sums = np.empty(shifts.shape[0])
+    y = np.empty_like(points)
+    for s, shift in enumerate(shifts):
+        prod = np.full(points.shape[1], e_first)
         prev_e = prod
         for i in range(1, n):
-            u = base[i - 1] + shifts[s, i - 1]
+            u = points[i - 1] + shift[i - 1]
             u -= np.floor(u)
             u = 1.0 - np.abs(2.0 * u - 1.0)  # tent periodization
             y[i - 1] = ndtri(np.clip(u * prev_e, 1e-300, 1.0 - 1e-16))
             cond = (b[i] - chol[i, :i] @ y[:i]) / chol[i, i]
             prev_e = ndtr(cond)
             prod = prod * prev_e
-        estimates[s] = prod.mean()
-    value = float(estimates.mean())
-    err = 3.0 * float(estimates.std(ddof=1)) / math.sqrt(_N_SHIFTS)
-    return value, err
+        sums[s] = prod.sum()
+    return sums
+
+
+def _shift_estimate(means: np.ndarray) -> tuple[float, float]:
+    """(estimate, 3 * standard error) from the per-shift means."""
+    return float(means.mean()), 3.0 * float(means.std(ddof=1)) / math.sqrt(means.size)
+
+
+def _embedded_lattice_estimate(chol: np.ndarray, b: np.ndarray, z: np.ndarray,
+                               shifts: np.ndarray, n_max: int,
+                               accuracy: float) -> tuple[float, float, int]:
+    """Double the level from _MIN_LATTICE up to n_max until the error bar
+    meets ``accuracy``, evaluating each lattice point once.
+
+    Returns (estimate, 3 * standard error, final per-shift level).
+    """
+    e_first = float(ndtr(b[0] / chol[0, 0]))
+    n_points = _MIN_LATTICE
+    indices = np.arange(n_points, dtype=np.int64) * (n_max // n_points)
+    sums = np.zeros(shifts.shape[0])
+    while True:
+        sums += _genz_shift_sums(chol, b, e_first, _lattice_points(indices, z, n_max),
+                                 shifts)
+        value, err = _shift_estimate(sums / n_points)
+        if err <= accuracy or n_points == n_max:
+            return value, err, n_points
+        n_points *= 2
+        step = n_max // n_points
+        indices = np.arange(step, n_max, 2 * step, dtype=np.int64)
 
 
 def _qmc_cdf(b: np.ndarray, cov: np.ndarray, accuracy: float, max_samples: int,
@@ -182,13 +216,13 @@ def _qmc_cdf(b: np.ndarray, cov: np.ndarray, accuracy: float, max_samples: int,
     if b.shape[0] == 1:
         return MvnEstimate(float(ndtr(b[0] / chol[0, 0])), 0.0, "qmc_genz")
     per_shift_cap = max(max_samples // _N_SHIFTS, _MIN_LATTICE)
-    n_points = _MIN_LATTICE
-    while True:
-        value, err = _genz_lattice_estimate(chol, b, n_points, seed)
-        if err <= accuracy or 2 * n_points > per_shift_cap:
-            break
-        n_points *= 2
-    return MvnEstimate(min(max(value, 0.0), 1.0), err, "qmc_genz")
+    n_max = _MIN_LATTICE << ((per_shift_cap // _MIN_LATTICE).bit_length() - 1)
+    dim = b.shape[0] - 1
+    shifts = np.random.default_rng(seed % (1 << 63)).random((_N_SHIFTS, dim))
+    value, err, n_points = _embedded_lattice_estimate(
+        chol, b, _korobov_vector(n_max, dim), shifts, n_max, accuracy)
+    return MvnEstimate(min(max(value, 0.0), 1.0), err, "qmc_genz",
+                       n_points=n_points, converged=err <= accuracy)
 
 
 def cdf(query: MvnQuery, seed: int = 0, method: str = "auto") -> MvnEstimate:

@@ -107,6 +107,18 @@ class TestPmfSampleNormalize:
         assert code == 0
         assert payload["value"] == pytest.approx(1 / 3, abs=1e-6)
 
+    def test_pmf_reports_lattice_size_and_convergence(self, capsys, tmp_path):
+        path = tmp_path / "c3.json"
+        path.write_text(json.dumps({"dim": 3, "entries": (np.eye(3) + 0.3).tolist()}),
+                        encoding="utf-8")
+        code = main(["pmf", "--mu", "0.2,-0.1,0.4", "--cov", str(path),
+                     "--y", "1,-1,1", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["method"] == "qmc_genz"
+        assert payload["n_points"] >= 1024
+        assert payload["converged"] is True
+
     def test_pmf_rejects_non_sign(self, capsys, fixture_cov):
         code = main(["pmf", "--mu", "0,0", "--cov", fixture_cov, "--y", "1,0"])
         assert code == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_pd
-from phiprod import oracles
+from phiprod import mvn_cdf, oracles
 from phiprod.gauss_scalar import cdf as scalar_cdf
 from phiprod.mvn_cdf import MvnEstimate, MvnQuery, bivariate_cdf, cdf
 from phiprod.pd_matrix import PdMatrix
@@ -148,6 +148,64 @@ class TestQmcPath:
         est = cdf(q, seed=0)
         assert isinstance(est, MvnEstimate)
         assert est.err_estimate > 0.0
+
+
+class TestEmbeddedLattice:
+    @pytest.mark.parametrize("accuracy, max_samples", [
+        (1e-6, mvn_cdf._DEFAULT_MAX_SAMPLES),
+        (1e-9, 12 * 4096),
+    ])
+    def test_no_point_is_evaluated_twice(self, monkeypatch, rng, accuracy,
+                                         max_samples):
+        n = 5
+        q = MvnQuery(upper=rng.uniform(-1, 1, n), mean=np.zeros(n),
+                     cov=random_pd(rng, n), accuracy=accuracy,
+                     max_samples=max_samples)
+        seen = []
+        real = mvn_cdf.ndtri
+
+        def counting(x):
+            seen.append(np.size(x))
+            return real(x)
+
+        monkeypatch.setattr(mvn_cdf, "ndtri", counting)
+        est = cdf(q, seed=0)
+        assert est.n_points >= mvn_cdf._MIN_LATTICE
+        assert sum(seen) == (n - 1) * 12 * est.n_points
+        assert sum(seen) <= (n - 1) * max_samples
+
+    def test_levels_embed_in_a_single_pass(self, rng):
+        n, n_max = 5, 4096
+        chol = np.linalg.cholesky(random_pd(rng, n).entries)
+        b = rng.uniform(-1, 1, n)
+        z = mvn_cdf._korobov_vector(n_max, n - 1)
+        shifts = rng.random((12, n - 1))
+        value, err, n_points = mvn_cdf._embedded_lattice_estimate(
+            chol, b, z, shifts, n_max, accuracy=1e-12)
+        assert n_points == n_max
+        e_first = float(mvn_cdf.ndtr(b[0] / chol[0, 0]))
+        points = mvn_cdf._lattice_points(np.arange(n_max), z, n_max)
+        sums = mvn_cdf._genz_shift_sums(chol, b, e_first, points, shifts)
+        ref_value, ref_err = mvn_cdf._shift_estimate(sums / n_max)
+        assert abs(value - ref_value) <= 1e-15
+        assert abs(err - ref_err) <= 1e-15
+
+    def test_converged_flag(self, rng):
+        easy = cdf(_query([0.3, -0.2, 0.5], [0.0] * 3, np.eye(3) + 0.3))
+        assert easy.method == "qmc_genz"
+        assert easy.converged is True
+        assert easy.err_estimate <= 1e-6
+        cov = random_pd(rng, 5)
+        q = MvnQuery(upper=rng.uniform(-1, 1, 5), mean=np.zeros(5), cov=cov,
+                     accuracy=1e-9, max_samples=12 * 4096)
+        starved = cdf(q, seed=0)
+        assert starved.n_points == 4096
+        assert starved.converged is False
+        assert starved.err_estimate > 1e-9
+
+    def test_exact_paths_report_no_lattice(self):
+        est = cdf(_query([0.0, 0.0], [0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]]))
+        assert (est.n_points, est.converged) == (0, True)
 
 
 class TestQueryValidation:

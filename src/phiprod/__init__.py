@@ -13,6 +13,7 @@ from .identities import (
     VectorMixParams,
     cdf_product_scalar,
     cdf_product_vector,
+    scalar_mix_query,
     shared_noise_cov,
 )
 from .mvn_cdf import MvnEstimate, MvnQuery, bivariate_cdf
@@ -47,6 +48,7 @@ __all__ = [
     "ScalarMixParams",
     "VectorMixParams",
     "shared_noise_cov",
+    "scalar_mix_query",
     "cdf_product_scalar",
     "cdf_product_vector",
     "ProbitBernoulli",

@@ -50,10 +50,14 @@ class MvnEstimate:
 
     ``err_estimate`` is three standard errors over the lattice shifts for
     the QMC path and 0 for the exact paths. ``method`` is one of
-    ``univariate``, ``bivariate_owen`` or ``qmc_genz``. ``n_points`` is the
-    per-shift lattice size behind the value (0 on the exact paths), and
-    ``converged`` says whether ``err_estimate <= accuracy`` (always True on
-    the exact paths).
+    ``univariate``, ``bivariate_owen`` or ``qmc_genz`` here, and
+    ``one_factor_trapezoid`` for the scalar-mixing product at N >= 3 (see
+    :mod:`phiprod.identities`), whose ``err_estimate`` is the gap between
+    its last two step sizes plus the mass outside its window. ``n_points``
+    is the per-shift lattice size behind the value (0 on the exact paths;
+    the nodes evaluated on ``one_factor_trapezoid``), and ``converged``
+    says whether ``err_estimate <= accuracy`` (always True on the exact
+    paths).
     """
 
     value: float

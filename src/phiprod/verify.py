@@ -17,7 +17,7 @@ import numpy as np
 from . import oracles, pd_matrix
 from .gauss_scalar import cdf, inv_cdf, owen_t, phi
 from .identities import ScalarMixParams, VectorMixParams, cdf_product_scalar, \
-    cdf_product_vector, shared_noise_cov
+    cdf_product_vector, scalar_mix_query, shared_noise_cov
 from .mvn_cdf import MvnQuery, cdf as mvn_cdf_eval
 from .pd_matrix import PdMatrix
 from .probit_bernoulli import ProbitBernoulli, SignVector
@@ -158,12 +158,16 @@ def _suite_identity_scalar(trials: int, seed: int, accuracy: float, perturb: flo
     results = []
     rng = np.random.default_rng([seed % (1 << 63), 2])
 
+    # the MVN reduction itself is checked against Gauss-Hermite, and the
+    # one-factor route that cdf_product_scalar takes is checked against it
     failures = []
     worst_gap = 0.0
     worst_cert = 0.0
+    route_failures = 0
+    worst_route = 0.0
     for i in range(trials):
         params = _draw_scalar_params(rng)
-        est = cdf_product_scalar(params, accuracy=accuracy, seed=seed + i)
+        est = mvn_cdf_eval(scalar_mix_query(params, accuracy), seed=seed + i)
         ref = oracles.cdf_product_scalar_quad(params, order=200)
         cert = abs(ref - oracles.cdf_product_scalar_quad(params, order=400))
         gap = abs(est.value + perturb - ref)
@@ -171,10 +175,19 @@ def _suite_identity_scalar(trials: int, seed: int, accuracy: float, perturb: flo
         worst_cert = max(worst_cert, cert)
         if gap > accuracy + est.err_estimate:
             failures.append(i)
+        fast = cdf_product_scalar(params, accuracy=accuracy, seed=seed + i)
+        route = abs(fast.value + perturb - est.value)
+        worst_route = max(worst_route, route)
+        if route > accuracy + fast.err_estimate + est.err_estimate:
+            route_failures += 1
     results.append(CheckResult(
         "identity-scalar", "closed_form_vs_gauss_hermite", not failures,
         f"{trials - len(failures)}/{trials} draws within tolerance, "
         f"max gap = {worst_gap:.3g}"))
+    results.append(CheckResult(
+        "identity-scalar", "one_factor_vs_mvn_reduction", route_failures == 0,
+        f"{trials - route_failures}/{trials} draws within accuracy + both errors, "
+        f"max gap = {worst_route:.3g}"))
     results.append(CheckResult(
         "identity-scalar", "quadrature_order_doubling", worst_cert <= 1e-5,
         f"max |order-200 - order-400| = {worst_cert:.3g}"))
@@ -198,7 +211,7 @@ def _suite_identity_scalar(trials: int, seed: int, accuracy: float, perturb: flo
         params = ScalarMixParams(mu=float(rng.uniform(-2, 2)),
                                  sigma2=float(rng.uniform(0.3, 2.0)) ** 2,
                                  m=rng.uniform(-2, 2, size=n), v=v)
-        est = cdf_product_scalar(params, accuracy=accuracy, seed=seed + 1000 + i)
+        est = mvn_cdf_eval(scalar_mix_query(params, accuracy), seed=seed + 1000 + i)
         ref = oracles.cdf_product_scalar_quad(params, order=200)
         worst = max(worst, abs(est.value - ref))
     results.append(CheckResult("identity-scalar", "wide_factor_consistency",
@@ -267,6 +280,12 @@ def _suite_identity_vector(trials: int, seed: int, accuracy: float, perturb: flo
     return results
 
 
+# Seed offset of a second, independent QMC randomization of a probability.
+# At one seed, two queries with the same upper - mean and covariance give
+# the same value bit for bit, so a comparison between them could not fail.
+_REFERENCE_SEED_OFFSET = 1 << 20
+
+
 def _suite_bernoulli(trials: int, seed: int, accuracy: float, perturb: float):
     results = []
     rng = np.random.default_rng([seed % (1 << 63), 4])
@@ -282,15 +301,21 @@ def _suite_bernoulli(trials: int, seed: int, accuracy: float, perturb: float):
     results.append(CheckResult("bernoulli", "pmf_normalization", passed,
                                f"worst deviation = {worst:.3g} of the 2^N budget"))
 
+    # pmf(-y; -mu) through ProbitBernoulli against pmf(y; mu) from the query
+    # built by hand, under an independent QMC randomization
     worst = 0.0
     for i in range(_scaled(50, trials)):
         n = int(rng.integers(1, 7))
         mu = rng.uniform(-1.5, 1.5, size=n)
         sig = _random_pd(rng, n)
         y = SignVector(tuple(rng.choice([-1, 1], size=n).tolist()))
-        a = ProbitBernoulli(mu, sig).pmf(y, accuracy=accuracy, seed=seed + i)
+        ys = np.asarray(y.signs, dtype=float)
+        by_hand = MvnQuery(upper=ys * mu, mean=np.zeros(n), accuracy=accuracy,
+                           cov=PdMatrix.from_entries(
+                               n, np.eye(n) + sig.entries * np.outer(ys, ys)))
+        a = mvn_cdf_eval(by_hand, seed=seed + _REFERENCE_SEED_OFFSET + i)
         b = ProbitBernoulli(-mu, sig).pmf(y.flipped(), accuracy=accuracy, seed=seed + i)
-        worst = max(worst, abs(a.value - b.value))
+        worst = max(worst, abs(b.value + perturb - a.value))
     results.append(CheckResult("bernoulli", "sign_flip_symmetry",
                                worst <= 2 * accuracy,
                                f"max |pmf(y;mu) - pmf(-y;-mu)| = {worst:.3g}"))
@@ -339,8 +364,9 @@ def _suite_bernoulli(trials: int, seed: int, accuracy: float, perturb: float):
         shifted = mvn_cdf_eval(MvnQuery(upper=np.zeros(n), mean=-ys * mu, cov=cov,
                                         accuracy=accuracy), seed=seed + i)
         centered = mvn_cdf_eval(MvnQuery(upper=ys * mu, mean=np.zeros(n), cov=cov,
-                                         accuracy=accuracy), seed=seed + i)
-        worst = max(worst, abs(shifted.value - centered.value))
+                                         accuracy=accuracy),
+                                seed=seed + _REFERENCE_SEED_OFFSET + i)
+        worst = max(worst, abs(shifted.value + perturb - centered.value))
     results.append(CheckResult("bernoulli", "shifted_vs_centered_query",
                                worst <= 2 * accuracy,
                                f"max route gap = {worst:.3g}"))

@@ -16,8 +16,8 @@ from conftest import random_pd
 from phiprod import oracles
 from phiprod.gauss_scalar import cdf as scalar_cdf
 from phiprod.gauss_scalar import owen_t
-from phiprod.identities import ScalarMixParams, VectorMixParams, cdf_product_scalar, \
-    cdf_product_vector
+from phiprod.identities import ScalarMixParams, VectorMixParams, cdf_product_vector, \
+    scalar_mix_query
 from phiprod.mvn_cdf import MvnQuery, bivariate_cdf, cdf as mvn_cdf
 from phiprod.pd_matrix import (
     PdMatrix,
@@ -76,7 +76,10 @@ def test_criterion_02_scalar_identity_suite():
             m=rng.uniform(-2, 2, size=n),
             v=rng.uniform(0.3, 2.0, size=n),
         )
-        est = cdf_product_scalar(params, accuracy=1e-5, seed=SEED + i)
+        # the MVN reduction itself, not the one-factor route that
+        # cdf_product_scalar takes at N >= 3 (that route is checked against
+        # this one by verify's identity-scalar/one_factor_vs_mvn_reduction)
+        est = mvn_cdf(scalar_mix_query(params, 1e-5), seed=SEED + i)
         ref = oracles.cdf_product_scalar_quad(params, order=200)
         gap = abs(est.value - ref)
         worst = max(worst, gap)

@@ -54,6 +54,17 @@ class TestScalarCommand:
         assert payload["value"] == pytest.approx(1 / 3, abs=1e-9)
 
 
+    def test_three_factors_take_the_one_factor_route(self, capsys):
+        code = main(["scalar", "--mu", "0.3", "--sigma2", "0.7", "--m", "0.1,-0.2,0.5",
+                     "--v", "0.8,1.2,1.0", "--oracle", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["method"] == "one_factor_trapezoid"
+        assert payload["converged"] is True
+        assert payload["n_points"] > 0
+        assert payload["oracle"]["pass"] is True
+
+
 class TestVectorCommand:
     def test_diagonal_median_product(self, capsys, diag_cov):
         code = main(["vector", "--mu", "0.4,-0.7", "--m", "0.4,-0.7",

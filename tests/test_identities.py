@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.special import ndtr
 
 from conftest import random_pd
-from phiprod import oracles
+from phiprod import identities, oracles
 from phiprod.identities import (
     ScalarMixParams,
     VectorMixParams,
     cdf_product_scalar,
     cdf_product_vector,
+    scalar_mix_query,
     shared_noise_cov,
 )
+from phiprod.mvn_cdf import cdf as mvn_cdf
 from phiprod.pd_matrix import PdMatrix
 
 
@@ -94,6 +98,114 @@ class TestScalarMix:
     def test_domain(self, kwargs):
         with pytest.raises(ValueError):
             ScalarMixParams(**kwargs)
+
+
+def _one_factor_truth(params: ScalarMixParams) -> float:
+    """E_w prod_r Phi((mu - m_r + s w)/v_r) by adaptive quadrature.
+
+    Each factor rises across w_r = (m_r - mu)/s over a width v_r/s, and
+    breakpoints at w_r + {0, +-2, +-8} v_r/s keep quad from stepping over a
+    steep rise (with w_r alone it misses one of width 4e-4 by 5e-6).
+    """
+    s = math.sqrt(params.sigma2)
+
+    def f(w):
+        return math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi) * float(
+            np.prod(ndtr((params.mu - params.m + s * w) / params.v)))
+
+    widths = np.array([-8.0, -2.0, 0.0, 2.0, 8.0])
+    points = ((params.m - params.mu) / s)[:, None] + (params.v / s)[:, None] * widths
+    value, _ = integrate.quad(f, -9.0, 9.0, points=np.unique(np.clip(points, -9.0, 9.0)),
+                              epsabs=1e-14, epsrel=0.0, limit=5000)
+    return value
+
+
+# quad may report that roundoff stops it short of epsabs = 1e-14, which is
+# still far below the accuracies the truth is compared at
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestOneFactorTrapezoid:
+    def test_error_bar_is_honest_at_the_extremes(self):
+        rng = np.random.default_rng(20240818)
+        for _ in range(60):
+            n = int(rng.integers(3, 41))
+            params = ScalarMixParams(
+                mu=float(rng.uniform(-8.0, 8.0)),
+                sigma2=float(rng.uniform(0.1, 3.0)) ** 2,
+                m=rng.uniform(-2.0, 2.0, size=n),
+                v=np.exp(rng.uniform(math.log(0.01), math.log(2.0), size=n)),
+            )
+            truth = _one_factor_truth(params)
+            for accuracy in (1e-6, 1e-9):
+                est = cdf_product_scalar(params, accuracy=accuracy)
+                assert est.method == "one_factor_trapezoid"
+                assert est.converged
+                assert abs(est.value - truth) <= accuracy + est.err_estimate
+
+    # inputs on which a start step that ignores min_r v_r / s (always 1/2)
+    # stops before the steepest factor is resolved, with an error of 1.8x
+    # and 2.4x the bound at accuracy 1e-6
+    @pytest.mark.parametrize("mu,sigma2,m,v", [
+        (1.383940109522651, 2.311968274842565,
+         [-1.3269638051769195, -1.8173724609787842, 1.6897879922749435,
+          1.7716638760197365],
+         [0.01312959217026565, 0.15467298434375232, 0.0022706209262493325,
+          0.030341738532852214]),
+        (-1.3103844888613954, 2.9642293866651843,
+         [-0.32618937125402603, -1.118568732561883, 1.1239158335654058,
+          -1.062260916175397, 1.8938168126617043, -0.9002852692960213],
+         [0.7527552449803011, 0.05493163456057712, 1.2792533737700402,
+          0.015481517221010545, 1.192271351444808, 0.016189384071068458]),
+    ])
+    def test_start_step_resolves_the_steepest_factor(self, mu, sigma2, m, v):
+        params = ScalarMixParams(mu=mu, sigma2=sigma2, m=m, v=v)
+        est = cdf_product_scalar(params, accuracy=1e-6)
+        assert est.method == "one_factor_trapezoid"
+        assert abs(est.value - _one_factor_truth(params)) <= 1e-6 + est.err_estimate
+
+    def test_too_steep_factor_falls_back_to_the_mvn_reduction(self):
+        params = ScalarMixParams(mu=0.3, sigma2=1.0, m=[-0.2, 0.1, 0.5],
+                                 v=[4e-4, 1.2, 1.0])
+        est = cdf_product_scalar(params, accuracy=1e-6, seed=3)
+        assert est.method == "qmc_genz"
+        assert est == mvn_cdf(scalar_mix_query(params, 1e-6), seed=3)
+        assert abs(est.value - _one_factor_truth(params)) <= 1e-6 + est.err_estimate
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_small_n_keeps_the_exact_paths(self, rng, n):
+        for i in range(10):
+            params = ScalarMixParams(
+                mu=float(rng.uniform(-2, 2)),
+                sigma2=float(rng.uniform(0.3, 2.0)) ** 2,
+                m=rng.uniform(-2, 2, size=n),
+                v=rng.uniform(0.3, 2.0, size=n),
+            )
+            est = cdf_product_scalar(params, accuracy=1e-6, seed=i)
+            assert est == mvn_cdf(scalar_mix_query(params, 1e-6), seed=i)
+
+    def test_repeatable_and_counts_the_nodes_it_evaluates(self, monkeypatch):
+        params = ScalarMixParams(mu=0.3, sigma2=0.7, m=[-0.2, 0.1, 0.5, 1.0],
+                                 v=[0.8, 1.2, 1.0, 0.5])
+        evaluated = []
+
+        def counting_ndtr(x):
+            evaluated.append(np.shape(x)[-1])
+            return ndtr(x)
+
+        monkeypatch.setattr(identities, "ndtr", counting_ndtr)
+        est = cdf_product_scalar(params, accuracy=1e-9, seed=1)
+        assert est.method == "one_factor_trapezoid"
+        assert est.n_points == sum(evaluated)
+        # the start step is 1/2 on [-9, 9]; each halving adds the midpoints
+        assert evaluated[:2] == [37, 36]
+        again = cdf_product_scalar(params, accuracy=1e-9, seed=2)
+        assert again == est
+
+    def test_rejects_accuracy_outside_the_contract(self):
+        params = ScalarMixParams(mu=0.0, sigma2=1.0, m=[0.0, 0.1, 0.2],
+                                 v=[1.0, 1.0, 1.0])
+        for bad in (0.0, 0.2, math.nan):
+            with pytest.raises(ValueError):
+                cdf_product_scalar(params, accuracy=bad)
 
 
 class TestVectorMix:

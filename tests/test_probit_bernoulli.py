@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from conftest import random_pd
 from phiprod.gauss_scalar import cdf as scalar_cdf
@@ -76,6 +77,22 @@ class TestPmf:
             centered = mvn_cdf(MvnQuery(upper=ys * mu, mean=np.zeros(n), cov=cov,
                                         accuracy=1e-5), seed=i)
             assert abs(shifted.value - centered.value) <= 2e-5
+
+    def test_matches_scipy_genz_on_the_query_built_by_hand(self, rng):
+        # pmf(y) = F_N(D_y mu | 0, I + D_y Sigma D_y), evaluated by scipy's own
+        # Genz code: a route that shares nothing with phiprod's
+        for i in range(10):
+            n = int(rng.integers(1, 7))
+            mu = rng.uniform(-1.5, 1.5, size=n)
+            sig = random_pd(rng, n)
+            y = SignVector(tuple(rng.choice([-1, 1], size=n).tolist()))
+            ys = np.asarray(y.signs, dtype=float)
+            ref = multivariate_normal(
+                mean=np.zeros(n), cov=np.eye(n) + sig.entries * np.outer(ys, ys),
+                abseps=1e-6, releps=0.0, seed=i).cdf(ys * mu)
+            for d, signs in ((ProbitBernoulli(mu, sig), y), (ProbitBernoulli(-mu, sig),
+                                                             y.flipped())):
+                assert abs(d.pmf(signs, accuracy=1e-5, seed=i).value - ref) <= 2e-5
 
     def test_wrong_length_sign_vector(self, sign_fixture):
         d = ProbitBernoulli(*sign_fixture)

@@ -52,16 +52,26 @@ class InternalConsistencyError(RuntimeError):
     """Two independent computations of the same quantity disagreed."""
 
 
+def _pivot_threshold(entries: np.ndarray) -> float:
+    """The pivot acceptance threshold dim * _PIVOT_RTOL * max diagonal entry."""
+    return entries.shape[0] * _PIVOT_RTOL * float(np.max(np.diagonal(entries)))
+
+
+def _pivot_root(index: int, pivot: float, threshold: float) -> float:
+    """sqrt(pivot), or NotPositiveDefiniteError when pivot is not above threshold."""
+    if not pivot > threshold:
+        raise NotPositiveDefiniteError(index, pivot, threshold)
+    return math.sqrt(pivot)
+
+
 def _cholesky_lower(entries: np.ndarray) -> np.ndarray:
     """Unblocked lower Cholesky with per-pivot diagnostics."""
     n = entries.shape[0]
-    threshold = n * _PIVOT_RTOL * float(np.max(np.diagonal(entries)))
+    threshold = _pivot_threshold(entries)
     chol = np.zeros_like(entries)
     for j in range(n):
         pivot = float(entries[j, j] - chol[j, :j] @ chol[j, :j])
-        if not pivot > threshold:
-            raise NotPositiveDefiniteError(j, pivot, threshold)
-        root = math.sqrt(pivot)
+        root = _pivot_root(j, pivot, threshold)
         chol[j, j] = root
         if j + 1 < n:
             chol[j + 1:, j] = (entries[j + 1:, j] - chol[j + 1:, :j] @ chol[j, :j]) / root

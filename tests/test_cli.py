@@ -64,6 +64,17 @@ class TestScalarCommand:
         assert payload["n_points"] > 0
         assert payload["oracle"]["pass"] is True
 
+    def test_oracle_resolves_a_narrow_factor(self, capsys):
+        # v_r / s = 0.1: an order-200 Gauss-Hermite rule is off by 3.5e-5 here
+        # and its order-halving certificate reads only 1.6e-5
+        code = main(["scalar", "--mu", "0.3", "--sigma2", "1", "--m=-0.2,0.1,0.5",
+                     "--v", "0.1,1.2,1.0", "--oracle", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["oracle"]["pass"] is True
+        assert payload["oracle"]["certificate"] <= 1e-12
+        assert payload["oracle"]["value"] == pytest.approx(0.30637008027173, abs=1e-13)
+
 
 class TestVectorCommand:
     def test_diagonal_median_product(self, capsys, diag_cov):
@@ -129,6 +140,19 @@ class TestPmfSampleNormalize:
         assert payload["method"] == "qmc_genz"
         assert payload["n_points"] >= 1024
         assert payload["converged"] is True
+
+    def test_pmf_reports_the_variable_order(self, capsys, tmp_path, fixture_cov):
+        path = tmp_path / "c3.json"
+        path.write_text(json.dumps({"dim": 3, "entries": (np.eye(3) + 0.3).tolist()}),
+                        encoding="utf-8")
+        code = main(["pmf", "--mu", "0.2,-0.1,0.4", "--cov", str(path),
+                     "--y", "1,-1,1", "--json"])
+        qmc = json.loads(capsys.readouterr().out)
+        code2 = main(["pmf", "--mu", "0,0", "--cov", fixture_cov, "--y", "1,1", "--json"])
+        exact = json.loads(capsys.readouterr().out)
+        assert code == 0 and code2 == 0
+        assert sorted(qmc["order"]) == [0, 1, 2]
+        assert exact["order"] == []
 
     def test_pmf_rejects_non_sign(self, capsys, fixture_cov):
         code = main(["pmf", "--mu", "0,0", "--cov", fixture_cov, "--y", "1,0"])

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from conftest import random_pd
 from phiprod import mvn_cdf, oracles
 from phiprod.gauss_scalar import cdf as scalar_cdf
 from phiprod.mvn_cdf import MvnEstimate, MvnQuery, bivariate_cdf, cdf
-from phiprod.pd_matrix import PdMatrix
+from phiprod.pd_matrix import NotPositiveDefiniteError, PdMatrix, _cholesky_lower
 
 
 def _query(upper, mean, entries, **kw):
@@ -206,6 +207,87 @@ class TestEmbeddedLattice:
     def test_exact_paths_report_no_lattice(self):
         est = cdf(_query([0.0, 0.0], [0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]]))
         assert (est.n_points, est.converged) == (0, True)
+
+
+class TestVariableOrder:
+    def test_permuting_the_variables_permutes_the_order(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(3, 9))
+            upper = rng.uniform(-1.5, 1.5, n)
+            if n > 3:
+                upper[int(rng.integers(0, n))] = math.inf
+            mean = rng.uniform(-1.0, 1.0, n)
+            cov = random_pd(rng, n)
+            perm = rng.permutation(n)
+            est = cdf(MvnQuery(upper=upper, mean=mean, cov=cov, accuracy=1e-5), seed=4)
+            permuted = cdf(MvnQuery(
+                upper=upper[perm], mean=mean[perm], accuracy=1e-5,
+                cov=PdMatrix.from_entries(n, cov.entries[np.ix_(perm, perm)])), seed=4)
+            assert sorted(est.order) == np.flatnonzero(np.isfinite(upper)).tolist()
+            assert [int(perm[k]) for k in permuted.order] == list(est.order)
+            assert abs(permuted.value - est.value) <= 1e-15
+            assert abs(permuted.err_estimate - est.err_estimate) <= 1e-15
+            assert permuted.n_points == est.n_points
+
+    def test_conditional_order_differs_from_marginal_order(self):
+        # Marginal masses Phi(0) < Phi(0.1) < Phi(0.5) give the order (0, 1, 2).
+        # Given Z_0 at its truncated mean E[Z | Z < 0] = -0.798, variable 1
+        # (correlation 0.9 with 0) has limit (0.1 + 0.9 * 0.798) / sqrt(0.19)
+        # = 1.88, above the 0.5 of the independent variable 2, so Genz-Bretz
+        # conditions on 2 before 1.
+        cov = [[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        est = cdf(_query([0.0, 0.1, 0.5], [0.0] * 3, cov))
+        assert est.method == "qmc_genz"
+        assert est.order == (0, 2, 1)
+        exact = scalar_cdf(0.5) * bivariate_cdf(0.0, 0.1, 0.9)
+        assert abs(est.value - exact) <= 1e-6 + est.err_estimate
+
+    def test_exact_paths_report_no_order(self):
+        assert cdf(_query([0.3], [0.0], [[1.0]])).order == ()
+        assert cdf(_query([0.3, math.inf, 0.1], [0.0] * 3, np.eye(3))).order == ()
+        forced = cdf(_query([0.3, math.inf], [0.0] * 2, np.eye(2)), method="qmc")
+        assert forced.order == (0,)
+
+    def test_near_singular_pivot_raises_as_the_reordered_cholesky_does(self):
+        # variable 2 repeats variable 0 up to a variance of 1e-13; 0 is
+        # conditioned on first (smallest limit), and then 2 has a conditional
+        # variance below the threshold 3 * 1e-12 * max diag at step 1
+        cov = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0 + 1e-13]])
+        with pytest.raises(NotPositiveDefiniteError) as fused:
+            mvn_cdf._prioritized_cholesky(np.array([-1.0, 0.0, 2.0]), cov)
+        with pytest.raises(NotPositiveDefiniteError) as plain:
+            _cholesky_lower(cov[np.ix_([0, 2, 1], [0, 2, 1])])
+        assert fused.value.pivot_index == plain.value.pivot_index == 1
+        assert fused.value.threshold == plain.value.threshold == 3e-12 * (1.0 + 1e-13)
+        assert fused.value.pivot == pytest.approx(plain.value.pivot, abs=1e-15)
+        assert fused.value.pivot <= fused.value.threshold
+
+    def test_error_bars_stay_honest(self):
+        # 200 calls at accuracy 1e-4 against scipy's Genz code at abseps 1e-6,
+        # half probit orthants F(D_y mu | 0, I + D_y Sigma D_y), half
+        # vector-mixing queries F(mu | m, diag(v^2) + Sigma); honest 3-SE bars
+        # give a mean |value - ref| / err_estimate near 0.27
+        rng = np.random.default_rng(20260418)
+        ratios = []
+        for i in range(200):
+            n = int(rng.integers(3, 9))
+            sig = random_pd(rng, n)
+            if i % 2:
+                ys = rng.choice([-1.0, 1.0], size=n)
+                upper = ys * rng.uniform(-1.5, 1.5, n)
+                mean = np.zeros(n)
+                cov = np.eye(n) + sig.entries * np.outer(ys, ys)
+            else:
+                upper = rng.uniform(-1.5, 1.5, n)
+                mean = rng.uniform(-1.5, 1.5, n)
+                cov = np.diag(rng.uniform(0.3, 2.0, n) ** 2) + sig.entries
+            est = cdf(MvnQuery(upper=upper, mean=mean, cov=PdMatrix.from_entries(n, cov),
+                               accuracy=1e-4), seed=i)
+            ref = multivariate_normal(mean=mean, cov=cov, abseps=1e-6, releps=0.0,
+                                      seed=i).cdf(upper)
+            ratios.append(abs(est.value - ref) / est.err_estimate)
+        assert np.mean(ratios) <= 0.45
+        assert sum(r > 1.0 for r in ratios) <= 10
 
 
 class TestQueryValidation:

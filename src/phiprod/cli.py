@@ -197,7 +197,8 @@ def cmd_verify(args) -> int:
     if args.json:
         _emit_json({"command": "verify",
                     "checks": [{"suite": r.suite, "name": r.name, "pass": r.passed,
-                                "detail": r.detail} for r in results],
+                                "detail": r.detail, "elapsed_s": r.elapsed_s}
+                               for r in results],
                     "pass": all_pass})
     else:
         width = max(len(f"{r.suite}/{r.name}") for r in results)
@@ -221,7 +222,7 @@ def _table_rows(records, seed: int):
                                          m=np.asarray(rec["m"], dtype=float),
                                          v=np.asarray(rec["v"], dtype=float))
                 closed = cdf_product_scalar(params, seed=seed).value
-                oracle = oracles.cdf_product_scalar_quad(params, order=200)
+                oracle = _scalar_quad(params)[0]
             elif kind == "vector":
                 cov = PdMatrix.from_entries(len(rec["m"]),
                                             np.asarray(rec["cov"], dtype=float))

@@ -10,7 +10,8 @@ the failure path of the harness itself can be exercised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,10 +30,15 @@ SUITE_NAMES = ("scalar", "matrix", "identity-scalar", "identity-vector", "bernou
 
 @dataclass
 class CheckResult:
+    """One check's outcome; ``elapsed_s`` is the suite's wall time since its
+    previous check, so a loop shared by several checks is charged to the
+    first. It stays out of ``repr`` and equality, which must not vary with
+    timing."""
     suite: str
     name: str
     passed: bool
     detail: str
+    elapsed_s: float = field(default=0.0, repr=False, compare=False)
 
     def __post_init__(self):
         self.passed = bool(self.passed)  # numpy bools are not JSON-serializable
@@ -49,30 +55,29 @@ def _random_pd(rng: np.random.Generator, n: int) -> PdMatrix:
 
 def _suite_scalar(trials: int, seed: int, accuracy: float, perturb: float):
     del trials, accuracy  # fixed grids; unaffected by the trial budget
-    results = []
 
     xs = np.linspace(-8.0, 8.0, 10_000)
     worst = max(abs(cdf(x) + cdf(-x) - 1.0) for x in xs)
-    results.append(CheckResult("scalar", "cdf_reflection", worst <= 1e-14,
-                               f"max |Phi(x)+Phi(-x)-1| = {worst:.3g}"))
+    yield CheckResult("scalar", "cdf_reflection", worst <= 1e-14,
+                      f"max |Phi(x)+Phi(-x)-1| = {worst:.3g}")
 
     step = 1e-5
     worst = max(abs((cdf(x + step) - cdf(x - step)) / (2 * step) - phi(x))
                 for x in np.linspace(-6.0, 6.0, 241))
-    results.append(CheckResult("scalar", "cdf_derivative_matches_phi", worst <= 1e-8,
-                               f"max |dPhi/dx - phi| = {worst:.3g}"))
+    yield CheckResult("scalar", "cdf_derivative_matches_phi", worst <= 1e-8,
+                      f"max |dPhi/dx - phi| = {worst:.3g}")
 
     worst = max(abs(phi(x) - phi(-x)) for x in np.linspace(0.0, 40.0, 201))
     nonneg = all(phi(x) >= 0.0 for x in np.linspace(-40.0, 40.0, 201))
-    results.append(CheckResult("scalar", "phi_even_and_nonnegative",
-                               worst <= 1e-16 and nonneg,
-                               f"max |phi(x)-phi(-x)| = {worst:.3g}"))
+    yield CheckResult("scalar", "phi_even_and_nonnegative",
+                      worst <= 1e-16 and nonneg,
+                      f"max |phi(x)-phi(-x)| = {worst:.3g}")
 
     ps = np.concatenate([np.logspace(-15, -1, 30), np.linspace(0.1, 0.9, 17),
                          1.0 - np.logspace(-15, -1, 30)])
     worst = max(abs(cdf(inv_cdf(p)) - p) for p in ps)
-    results.append(CheckResult("scalar", "inv_cdf_roundtrip", worst <= 1e-12,
-                               f"max |Phi(Phi^-1(p))-p| = {worst:.3g}"))
+    yield CheckResult("scalar", "inv_cdf_roundtrip", worst <= 1e-12,
+                      f"max |Phi(Phi^-1(p))-p| = {worst:.3g}")
 
     hs = np.linspace(-3.0, 3.0, 50)
     worst = 0.0
@@ -84,18 +89,16 @@ def _suite_scalar(trials: int, seed: int, accuracy: float, perturb: float):
             worst = max(worst, abs(owen_t(h, a) + perturb - ref))
             worst_even = max(worst_even, abs(owen_t(h, a) - owen_t(-h, a)))
             worst_anti = max(worst_anti, abs(owen_t(h, a) + owen_t(h, -a)))
-    results.append(CheckResult("scalar", "owen_t_vs_quadrature", worst <= 1e-10,
-                               f"max |T - quad| = {worst:.3g} on 50x50 grid"))
-    results.append(CheckResult("scalar", "owen_t_even_in_h", worst_even <= 1e-14,
-                               f"max asymmetry = {worst_even:.3g}"))
-    results.append(CheckResult("scalar", "owen_t_antisymmetric_in_a", worst_anti <= 1e-14,
-                               f"max residual = {worst_anti:.3g}"))
-    return results
+    yield CheckResult("scalar", "owen_t_vs_quadrature", worst <= 1e-10,
+                      f"max |T - quad| = {worst:.3g} on 50x50 grid")
+    yield CheckResult("scalar", "owen_t_even_in_h", worst_even <= 1e-14,
+                      f"max asymmetry = {worst_even:.3g}")
+    yield CheckResult("scalar", "owen_t_antisymmetric_in_a", worst_anti <= 1e-14,
+                      f"max residual = {worst_anti:.3g}")
 
 
 def _suite_matrix(trials: int, seed: int, accuracy: float, perturb: float):
     del accuracy
-    results = []
     rng = np.random.default_rng([seed % (1 << 63), 1])
 
     worst = 0.0
@@ -104,8 +107,8 @@ def _suite_matrix(trials: int, seed: int, accuracy: float, perturb: float):
         m = _random_pd(rng, n)
         err = np.linalg.norm(m.chol @ m.chol.T - m.entries) / np.linalg.norm(m.entries)
         worst = max(worst, err)
-    results.append(CheckResult("matrix", "cholesky_reconstruction", worst <= 1e-10,
-                               f"max rel Frobenius error = {worst:.3g}"))
+    yield CheckResult("matrix", "cholesky_reconstruction", worst <= 1e-10,
+                      f"max rel Frobenius error = {worst:.3g}")
 
     worst = 0.0
     for _ in range(_scaled(100, trials)):
@@ -115,8 +118,8 @@ def _suite_matrix(trials: int, seed: int, accuracy: float, perturb: float):
         det = pd_matrix.full_cov_determinant(sigma2, v) + perturb
         closed = sigma2 * float(np.prod(v * v))
         worst = max(worst, abs(det - closed) / closed)
-    results.append(CheckResult("matrix", "bordered_determinant_identity", worst <= 1e-10,
-                               f"max rel disagreement = {worst:.3g}"))
+    yield CheckResult("matrix", "bordered_determinant_identity", worst <= 1e-10,
+                      f"max rel disagreement = {worst:.3g}")
 
     worst = 0.0
     for _ in range(_scaled(100, trials)):
@@ -128,8 +131,8 @@ def _suite_matrix(trials: int, seed: int, accuracy: float, perturb: float):
         resid = np.linalg.norm(
             cov.entries @ pd_matrix.assemble_precision(blocks) - np.eye(n + 1))
         worst = max(worst, resid)
-    results.append(CheckResult("matrix", "partitioned_inverse_identity", worst <= 1e-10,
-                               f"max Frobenius residual = {worst:.3g}"))
+    yield CheckResult("matrix", "partitioned_inverse_identity", worst <= 1e-10,
+                      f"max Frobenius residual = {worst:.3g}")
 
     worst = 0.0
     for _ in range(_scaled(50, trials)):
@@ -139,9 +142,8 @@ def _suite_matrix(trials: int, seed: int, accuracy: float, perturb: float):
         x = pd_matrix.cholesky_solve(m, rhs)
         resid = np.max(np.abs(m.entries @ x - rhs)) / max(np.max(np.abs(rhs)), 1e-30)
         worst = max(worst, resid)
-    results.append(CheckResult("matrix", "cholesky_solve_residual", worst <= 1e-9,
-                               f"max rel residual = {worst:.3g}"))
-    return results
+    yield CheckResult("matrix", "cholesky_solve_residual", worst <= 1e-9,
+                      f"max rel residual = {worst:.3g}")
 
 
 def _draw_scalar_params(rng: np.random.Generator, max_n: int = 5) -> ScalarMixParams:
@@ -155,7 +157,6 @@ def _draw_scalar_params(rng: np.random.Generator, max_n: int = 5) -> ScalarMixPa
 
 
 def _suite_identity_scalar(trials: int, seed: int, accuracy: float, perturb: float):
-    results = []
     rng = np.random.default_rng([seed % (1 << 63), 2])
 
     # the MVN reduction itself is checked against Gauss-Hermite, and the
@@ -180,17 +181,17 @@ def _suite_identity_scalar(trials: int, seed: int, accuracy: float, perturb: flo
         worst_route = max(worst_route, route)
         if route > accuracy + fast.err_estimate + est.err_estimate:
             route_failures += 1
-    results.append(CheckResult(
+    yield CheckResult(
         "identity-scalar", "closed_form_vs_gauss_hermite", not failures,
         f"{trials - len(failures)}/{trials} draws within tolerance, "
-        f"max gap = {worst_gap:.3g}"))
-    results.append(CheckResult(
+        f"max gap = {worst_gap:.3g}")
+    yield CheckResult(
         "identity-scalar", "one_factor_vs_mvn_reduction", route_failures == 0,
         f"{trials - route_failures}/{trials} draws within accuracy + both errors, "
-        f"max gap = {worst_route:.3g}"))
-    results.append(CheckResult(
+        f"max gap = {worst_route:.3g}")
+    yield CheckResult(
         "identity-scalar", "quadrature_order_doubling", worst_cert <= 1e-5,
-        f"max |order-200 - order-400| = {worst_cert:.3g}"))
+        f"max |order-200 - order-400| = {worst_cert:.3g}")
 
     exact = True
     for _ in range(20):
@@ -200,8 +201,8 @@ def _suite_identity_scalar(trials: int, seed: int, accuracy: float, perturb: flo
         built = shared_noise_cov(sigma2, v).entries
         expected = np.diag(v * v) + sigma2 * np.ones((n, n))
         exact = exact and bool(np.array_equal(built, expected))
-    results.append(CheckResult("identity-scalar", "covariance_structure_exact", exact,
-                               "diag(v^2) + sigma2 * ones, entrywise"))
+    yield CheckResult("identity-scalar", "covariance_structure_exact", exact,
+                      "diag(v^2) + sigma2 * ones, entrywise")
 
     worst = 0.0
     for i in range(3):
@@ -214,14 +215,12 @@ def _suite_identity_scalar(trials: int, seed: int, accuracy: float, perturb: flo
         est = mvn_cdf_eval(scalar_mix_query(params, accuracy), seed=seed + 1000 + i)
         ref = oracles.cdf_product_scalar_quad(params, order=200)
         worst = max(worst, abs(est.value - ref))
-    results.append(CheckResult("identity-scalar", "wide_factor_consistency",
-                               worst <= accuracy + 1e-6,
-                               f"max gap with one v_r = 100: {worst:.3g}"))
-    return results
+    yield CheckResult("identity-scalar", "wide_factor_consistency",
+                      worst <= accuracy + 1e-6,
+                      f"max gap with one v_r = 100: {worst:.3g}")
 
 
 def _suite_identity_vector(trials: int, seed: int, accuracy: float, perturb: float):
-    results = []
     rng = np.random.default_rng([seed % (1 << 63), 3])
     draws = max(trials // 2, 1)
 
@@ -243,10 +242,10 @@ def _suite_identity_vector(trials: int, seed: int, accuracy: float, perturb: flo
         if ratio > 1.0:
             excursions += 1
     allowed = max(draws // 50, 0)
-    results.append(CheckResult(
+    yield CheckResult(
         "identity-vector", "closed_form_vs_monte_carlo", excursions <= allowed,
         f"{excursions} excursion(s) beyond 3 combined SE in {draws} draws "
-        f"(allowed {allowed}), worst ratio = {worst_ratio:.3g}"))
+        f"(allowed {allowed}), worst ratio = {worst_ratio:.3g}")
 
     worst = 0.0
     for i in range(10):
@@ -259,8 +258,8 @@ def _suite_identity_vector(trials: int, seed: int, accuracy: float, perturb: flo
             VectorMixParams([mu], PdMatrix.from_entries(1, [[s2]]), [m], [v]),
             accuracy=accuracy)
         worst = max(worst, abs(a.value - b.value))
-    results.append(CheckResult("identity-vector", "n1_reduces_to_scalar_form",
-                               worst <= 1e-12, f"max route gap = {worst:.3g}"))
+    yield CheckResult("identity-vector", "n1_reduces_to_scalar_form",
+                      worst <= 1e-12, f"max route gap = {worst:.3g}")
 
     worst = 0.0
     for i in range(10):
@@ -274,10 +273,9 @@ def _suite_identity_vector(trials: int, seed: int, accuracy: float, perturb: flo
         )
         est = cdf_product_vector(params, accuracy=accuracy, seed=seed + i)
         worst = max(worst, abs(est.value - 0.5 ** n))
-    results.append(CheckResult("identity-vector", "diagonal_median_product",
-                               worst <= accuracy + 1e-9,
-                               f"max |value - 2^-N| = {worst:.3g}"))
-    return results
+    yield CheckResult("identity-vector", "diagonal_median_product",
+                      worst <= accuracy + 1e-9,
+                      f"max |value - 2^-N| = {worst:.3g}")
 
 
 # Seed offset of a second, independent QMC randomization of a probability.
@@ -287,7 +285,6 @@ _REFERENCE_SEED_OFFSET = 1 << 20
 
 
 def _suite_bernoulli(trials: int, seed: int, accuracy: float, perturb: float):
-    results = []
     rng = np.random.default_rng([seed % (1 << 63), 4])
 
     worst = 0.0
@@ -298,8 +295,8 @@ def _suite_bernoulli(trials: int, seed: int, accuracy: float, perturb: float):
         dev = abs(d.normalization(accuracy=accuracy, seed=seed + i) + perturb - 1.0)
         worst = max(worst, dev / (2**n * accuracy))
         passed = passed and dev <= 2**n * accuracy
-    results.append(CheckResult("bernoulli", "pmf_normalization", passed,
-                               f"worst deviation = {worst:.3g} of the 2^N budget"))
+    yield CheckResult("bernoulli", "pmf_normalization", passed,
+                      f"worst deviation = {worst:.3g} of the 2^N budget")
 
     # pmf(-y; -mu) through ProbitBernoulli against pmf(y; mu) from the query
     # built by hand, under an independent QMC randomization
@@ -316,9 +313,9 @@ def _suite_bernoulli(trials: int, seed: int, accuracy: float, perturb: float):
         a = mvn_cdf_eval(by_hand, seed=seed + _REFERENCE_SEED_OFFSET + i)
         b = ProbitBernoulli(-mu, sig).pmf(y.flipped(), accuracy=accuracy, seed=seed + i)
         worst = max(worst, abs(b.value + perturb - a.value))
-    results.append(CheckResult("bernoulli", "sign_flip_symmetry",
-                               worst <= 2 * accuracy,
-                               f"max |pmf(y;mu) - pmf(-y;-mu)| = {worst:.3g}"))
+    yield CheckResult("bernoulli", "sign_flip_symmetry",
+                      worst <= 2 * accuracy,
+                      f"max |pmf(y;mu) - pmf(-y;-mu)| = {worst:.3g}")
 
     worst = 0.0
     for i in range(_scaled(20, trials)):
@@ -334,9 +331,9 @@ def _suite_bernoulli(trials: int, seed: int, accuracy: float, perturb: float):
             if tuple(full.signs[j] for j in keep) == y.signs:
                 total += d.pmf(full, accuracy=accuracy, seed=seed + i).value
         worst = max(worst, abs(direct - total) / ((2 ** (n - k) + 1) * accuracy))
-    results.append(CheckResult("bernoulli", "marginal_consistency",
-                               worst <= 1.0,
-                               f"worst deviation = {worst:.3g} of the error budget"))
+    yield CheckResult("bernoulli", "marginal_consistency",
+                      worst <= 1.0,
+                      f"worst deviation = {worst:.3g} of the error budget")
 
     passed = True
     detail = ""
@@ -351,8 +348,8 @@ def _suite_bernoulli(trials: int, seed: int, accuracy: float, perturb: float):
             if abs(freq - p) > band:
                 passed = False
                 detail = f"set {i}, y={y.signs}: |{freq:.6f} - {p:.6f}| > {band:.2g}"
-    results.append(CheckResult("bernoulli", "sampler_matches_pmf", passed,
-                               detail or "all support points within 4 binomial SE"))
+    yield CheckResult("bernoulli", "sampler_matches_pmf", passed,
+                      detail or "all support points within 4 binomial SE")
 
     worst = 0.0
     for i in range(10):
@@ -367,9 +364,9 @@ def _suite_bernoulli(trials: int, seed: int, accuracy: float, perturb: float):
                                          accuracy=accuracy),
                                 seed=seed + _REFERENCE_SEED_OFFSET + i)
         worst = max(worst, abs(shifted.value + perturb - centered.value))
-    results.append(CheckResult("bernoulli", "shifted_vs_centered_query",
-                               worst <= 2 * accuracy,
-                               f"max route gap = {worst:.3g}"))
+    yield CheckResult("bernoulli", "shifted_vs_centered_query",
+                      worst <= 2 * accuracy,
+                      f"max route gap = {worst:.3g}")
 
     worst = 0.0
     for i in range(10):
@@ -379,10 +376,9 @@ def _suite_bernoulli(trials: int, seed: int, accuracy: float, perturb: float):
         for y in d.support():
             enum += y.as_array() * d.pmf(y, accuracy=accuracy, seed=seed + i).value
         worst = max(worst, float(np.max(np.abs(d.mean() - enum))) / (2**n * accuracy))
-    results.append(CheckResult("bernoulli", "mean_closed_form_vs_enumeration",
-                               worst <= 1.0,
-                               f"worst deviation = {worst:.3g} of the error budget"))
-    return results
+    yield CheckResult("bernoulli", "mean_closed_form_vs_enumeration",
+                      worst <= 1.0,
+                      f"worst deviation = {worst:.3g} of the error budget")
 
 
 _SUITES = {
@@ -412,5 +408,10 @@ def run_suites(names, trials: int = 100, seed: int = 0, accuracy: float = 1e-5,
                 f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     results: list[CheckResult] = []
     for name in expanded:
-        results.extend(_SUITES[name](trials, seed, accuracy, perturb))
+        start = time.perf_counter()
+        for result in _SUITES[name](trials, seed, accuracy, perturb):
+            now = time.perf_counter()
+            result.elapsed_s = now - start
+            start = now
+            results.append(result)
     return results

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -203,6 +204,21 @@ class TestVerifyCommand:
         assert payload["pass"] is True
         assert all(check["pass"] for check in payload["checks"])
 
+    def test_json_reports_check_wall_time(self, capsys):
+        start = time.perf_counter()
+        main(["verify", "--suite", "scalar", "--json"])
+        wall = time.perf_counter() - start
+        elapsed = [check["elapsed_s"] for check in json.loads(capsys.readouterr().out)["checks"]]
+        assert len(elapsed) == 7
+        assert min(elapsed) >= 0.0
+        assert sum(elapsed) <= wall
+
+    def test_owen_t_perturbation_fails(self, capsys):
+        code = main(["verify", "--suite", "scalar", "--perturb", "1e-9"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL  scalar/owen_t_vs_quadrature" in out
+
 
 class TestTableCommand:
     def test_two_record_fixture(self, capsys, tmp_path):
@@ -239,6 +255,16 @@ class TestTableCommand:
         rows = json.loads(capsys.readouterr().out)
         assert code == 0
         assert rows[0]["closed"] == 0.5
+
+    def test_narrow_factor_record_has_no_false_gap(self, capsys, tmp_path):
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(
+            [{"id": "scalar", "mu": 0.3, "sigma2": 1.0, "m": [-0.2, 0.1, 0.5],
+              "v": [0.1, 1.2, 1.0]}]), encoding="utf-8")
+        code = main(["table", "--spec", str(path), "--format", "json"])
+        rows = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert rows[0]["absdiff"] <= 1e-12
 
     def test_bad_record_names_index(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

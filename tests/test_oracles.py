@@ -7,7 +7,7 @@ from scipy.stats import kstest
 from conftest import random_pd
 from phiprod import oracles
 from phiprod.identities import ScalarMixParams, VectorMixParams
-from phiprod.mvn_cdf import MvnQuery
+from phiprod.mvn_cdf import MvnQuery, bivariate_cdf
 from phiprod.pd_matrix import PdMatrix
 
 
@@ -184,3 +184,45 @@ class TestAdaptiveQuadrature:
     def test_tolerance_floor(self):
         with pytest.raises(ValueError):
             oracles.adaptive_quad_1d(lambda x: x, 0.0, 1.0, 1e-14)
+
+
+class TestKronrodPanel:
+    def test_gauss_nodes_match_numpy(self):
+        # the odd-indexed Kronrod abscissae and the centre are the G7 nodes
+        x = np.asarray(oracles._KRONROD_X[1::2] + (0.0,))
+        w = np.asarray(oracles._GAUSS_W)
+        xr, wr = np.polynomial.legendre.leggauss(7)
+        assert np.max(np.abs(np.concatenate([-x, x[-2::-1]]) - xr)) <= 1e-15
+        assert np.max(np.abs(np.concatenate([w, w[-2::-1]]) - wr)) <= 1e-15
+
+    @pytest.mark.parametrize("k", range(23))
+    def test_kronrod_is_exact_to_degree_22(self, k):
+        value, _ = oracles._kronrod_panel(lambda x: x**k, -1.0, 1.0)
+        assert abs(value - (0.0 if k % 2 else 2.0 / (k + 1))) <= 1e-15
+
+    def test_owen_grid_evaluation_budget(self):
+        # verify's owen_t_vs_quadrature grid; adaptive Simpson averaged 879
+        hs = np.linspace(-3.0, 3.0, 50)
+        evaluations = 0
+
+        for h in hs:
+            integrand = oracles.owen_t_integrand(h)
+
+            def counted(x, integrand=integrand):
+                nonlocal evaluations
+                evaluations += 1
+                return integrand(x)
+
+            for a in hs:
+                oracles.adaptive_quad_1d(counted, 0.0, a, 1e-13)
+        assert evaluations / hs.size**2 <= 150
+
+
+class TestBivariateQuadratureOracle:
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.75, 0.9, 0.95, 0.99,
+                                     -0.5, -0.75, -0.9, -0.95, -0.99])
+    def test_matches_owen_t_route(self, rho):
+        grid = np.linspace(-3.0, 3.0, 13)
+        worst = max(abs(oracles.bivariate_cdf_quad(h, k, rho) - bivariate_cdf(h, k, rho))
+                    for h in grid for k in grid)
+        assert worst <= 1e-10

@@ -104,9 +104,9 @@ class MvnQuery:
                 f"upper/mean must have shape ({n},) matching cov, got "
                 f"{upper.shape} and {mean.shape}"
             )
-        if np.any(np.isnan(upper)) or np.any(upper == -math.inf):
+        if np.isnan(upper).any() or (upper == -math.inf).any():
             raise ValueError("upper entries must be finite or +inf")
-        if not np.all(np.isfinite(mean)):
+        if not np.isfinite(mean).all():
             raise ValueError("mean entries must be finite")
         if not 0.0 < self.accuracy <= 0.1:
             raise ValueError(f"accuracy must be in (0, 0.1], got {self.accuracy!r}")
@@ -302,9 +302,12 @@ def cdf(query: MvnQuery, seed: int = 0, method: str = "auto") -> MvnEstimate:
     active = np.flatnonzero(np.isfinite(query.upper))
     if active.size == 0:
         return MvnEstimate(1.0, 0.0, "univariate")
-    b = (query.upper - query.mean)[active]
-    cov = query.cov.entries[np.ix_(active, active)]
     n = active.size
+    b = query.upper - query.mean
+    cov = query.cov.entries
+    if n < query.dim:
+        b = b[active]
+        cov = cov[np.ix_(active, active)]
     if method == "auto" and n == 1:
         return MvnEstimate(_scalar_cdf(b[0] / math.sqrt(cov[0, 0])), 0.0, "univariate")
     if method == "auto" and n == 2:

@@ -46,6 +46,8 @@ _SQRT_PI = math.sqrt(math.pi)
 _INV_2PI = 1.0 / (2.0 * math.pi)
 _MIN_QUAD_TOL = 1e-13
 _MAX_QUAD_DEPTH = 50
+# offsets from h of the pieces of the bivariate oracle's range
+_BIVARIATE_BREAKS = (-40.0, -8.0, -2.0, 0.0)
 
 
 class QuadratureDepthError(RuntimeError):
@@ -297,13 +299,25 @@ def owen_t_integrand(h: float) -> Callable[[float], float]:
 def bivariate_cdf_quad(h: float, k: float, rho: float, tol: float = 1e-13) -> float:
     """Bivariate normal CDF by conditioning + adaptive quadrature.
 
-    Integrates phi(x) Phi((k - rho x)/sqrt(1-rho^2)) for x up to h; shares
-    no code with the Owen's T construction it is used to check.
+    Integrates phi(x) Phi((k - rho x)/sqrt(1-rho^2)) for x in [h - 40, h];
+    shares no code with the Owen's T construction it is used to check. The
+    range is split at h - 8 and h - 2 before adapting, and each piece gets a
+    share of ``tol`` in proportion to its length: a single first panel on
+    [h - 40, h] can place every node where mass that is narrow near h has
+    already died off, and then pass |K15 - G7| on almost nothing. The
+    shares go below the floor of :func:`adaptive_quad_1d`, so the pieces
+    call the adaptive rule directly.
     """
+    if not math.isfinite(h):
+        raise ValueError("integration limits must be finite")
+    if tol < _MIN_QUAD_TOL:
+        raise ValueError(f"tol must be >= {_MIN_QUAD_TOL:g}, got {tol!r}")
     root = math.sqrt((1.0 - rho) * (1.0 + rho))
     inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
 
     def f(x: float) -> float:
         return inv_sqrt_2pi * math.exp(-0.5 * x * x) * float(ndtr((k - rho * x) / root))
 
-    return adaptive_quad_1d(f, h - 40.0, h, tol)
+    span = _BIVARIATE_BREAKS[-1] - _BIVARIATE_BREAKS[0]
+    return sum(_adaptive(f, h + lo, h + hi, tol * (hi - lo) / span, _MAX_QUAD_DEPTH)
+               for lo, hi in zip(_BIVARIATE_BREAKS, _BIVARIATE_BREAKS[1:]))

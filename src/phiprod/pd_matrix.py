@@ -5,6 +5,15 @@ determinants, and the block inverse of a bordered precision matrix (one
 scalar row/column attached to a diagonal block). Matrices here are small
 and dense (dim <= ~20); near-PD inputs are rejected rather than repaired
 so that downstream identity checks never run on silently altered data.
+
+The lower Cholesky factor comes from LAPACK ``potrf``, followed by a
+scale-aware pivot check: every squared diagonal entry of the factor must
+exceed dim * 1e-12 * max diagonal entry. A matrix that ``potrf`` rejects,
+or whose factor fails the check, raises :class:`NotPositiveDefiniteError`
+at the first failing pivot. A sign flip D M D with D = diag(+/-1) has the
+factor D L D exactly (every product and sum in the factorization only
+changes sign), so it is built from an existing factor without factoring
+again; see :meth:`PdMatrix._sign_flipped`.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "PdMatrix",
@@ -54,7 +64,7 @@ class InternalConsistencyError(RuntimeError):
 
 def _pivot_threshold(entries: np.ndarray) -> float:
     """The pivot acceptance threshold dim * _PIVOT_RTOL * max diagonal entry."""
-    return entries.shape[0] * _PIVOT_RTOL * float(np.max(np.diagonal(entries)))
+    return entries.shape[0] * _PIVOT_RTOL * float(entries.diagonal().max())
 
 
 def _pivot_root(index: int, pivot: float, threshold: float) -> float:
@@ -65,17 +75,22 @@ def _pivot_root(index: int, pivot: float, threshold: float) -> float:
 
 
 def _cholesky_lower(entries: np.ndarray) -> np.ndarray:
-    """Unblocked lower Cholesky with per-pivot diagnostics."""
-    n = entries.shape[0]
+    """Lower Cholesky factor by LAPACK potrf, with the scale-aware pivot check.
+
+    The pivots potrf accepted are diag(L)^2; the first one not above the
+    threshold, or else the pivot potrf stopped at, fails. The reported pivot
+    is a_jj - L_j,:j . L_j,:j, from the rows potrf finished before it.
+    """
     threshold = _pivot_threshold(entries)
-    chol = np.zeros_like(entries)
-    for j in range(n):
-        pivot = float(entries[j, j] - chol[j, :j] @ chol[j, :j])
-        root = _pivot_root(j, pivot, threshold)
-        chol[j, j] = root
-        if j + 1 < n:
-            chol[j + 1:, j] = (entries[j + 1:, j] - chol[j + 1:, :j] @ chol[j, :j]) / root
-    return chol
+    chol, info = dpotrf(entries, lower=1)
+    accepted = entries.shape[0] if info == 0 else info - 1
+    diag = chol.diagonal()[:accepted]
+    low = np.flatnonzero(~(diag * diag > threshold))
+    if low.size == 0 and info == 0:
+        return chol
+    j = int(low[0]) if low.size else accepted
+    pivot = float(entries[j, j] - chol[j, :j] @ chol[j, :j])
+    raise NotPositiveDefiniteError(j, pivot, threshold)
 
 
 class PdMatrix:
@@ -83,7 +98,7 @@ class PdMatrix:
 
     Use :meth:`from_entries` for general input; the constructor itself
     expects an already-symmetric float array and only runs the Cholesky
-    validation.
+    validation (LAPACK potrf and the scale-aware pivot check).
     """
 
     __slots__ = ("_entries", "_chol")
@@ -103,16 +118,32 @@ class PdMatrix:
         arr = np.asarray(entries, dtype=float)
         if arr.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("matrix entries must be finite")
-        scale = float(np.max(np.abs(arr)))
-        asym = float(np.max(np.abs(arr - arr.T)))
+        scale = float(np.abs(arr).max())
+        asym = float(np.abs(arr - arr.T).max())
         if scale > 0.0 and asym > _ASYM_RTOL * scale:
             raise ValueError(
                 f"matrix is asymmetric beyond tolerance: max |M - M^T| = {asym:.3g} "
                 f"vs {_ASYM_RTOL:.0e} * max |M| = {_ASYM_RTOL * scale:.3g}"
             )
         return cls(0.5 * (arr + arr.T))
+
+    def _sign_flipped(self, signs: np.ndarray) -> "PdMatrix":
+        """D M D with the factor D L D, where D = diag(signs) and every sign is +/-1.
+
+        Multiplying by +/-1 is exact, and chol(D M D) = D chol(M) D: each
+        product and sum that builds L_ij only changes sign by signs[i] *
+        signs[j]. The result is therefore valid by construction, and is
+        built without validating or factoring again.
+        """
+        flip = np.outer(signs, signs)
+        out = PdMatrix.__new__(PdMatrix)
+        out._entries = self._entries * flip
+        out._chol = self._chol * flip
+        out._entries.flags.writeable = False
+        out._chol.flags.writeable = False
+        return out
 
     @property
     def dim(self) -> int:

@@ -6,9 +6,13 @@ y_r in {-1, +1}. Marginally the sign vector has
 
     pmf(y) = F_N(D_y mu | 0, I + D_y Sigma D_y),   D_y = diag(y),
 
-an orthant probability of the noise-augmented latent Gaussian. The family
-is closed under marginalization of coordinates, and sampling reduces to
-y = sign(f + eps) with eps ~ N(0, I) drawn alongside f.
+an orthant probability of the noise-augmented latent Gaussian. Every
+orthant covariance I + D_y Sigma D_y = D_y (I + Sigma) D_y is a sign flip
+of one matrix, whose Cholesky factor is D_y chol(I + Sigma) D_y exactly,
+so one factor of I + Sigma, computed on the first ``pmf`` call, serves all
+2^N orthants. The family is closed under marginalization of coordinates,
+and sampling reduces to y = sign(f + eps) with eps ~ N(0, I) drawn
+alongside f.
 """
 
 from __future__ import annotations
@@ -67,11 +71,12 @@ class ProbitBernoulli:
             raise ValueError(
                 f"mu has shape {mu.shape}, expected ({sigma.dim},) to match sigma"
             )
-        if not np.all(np.isfinite(mu)):
+        if not np.isfinite(mu).all():
             raise ValueError("mu entries must be finite")
         mu.flags.writeable = False
         self._mu = mu
         self._sigma = sigma
+        self._noisy_cov: PdMatrix | None = None  # I + Sigma, factored on first use
 
     @property
     def dim(self) -> int:
@@ -89,11 +94,10 @@ class ProbitBernoulli:
         ys = y.as_array()
         if ys.shape != (self.dim,):
             raise ValueError(f"sign vector has length {len(y)}, expected {self.dim}")
-        cov = PdMatrix.from_entries(
-            self.dim, np.eye(self.dim) + self._sigma.entries * np.outer(ys, ys)
-        )
-        return MvnQuery(upper=ys * self._mu, mean=np.zeros(self.dim), cov=cov,
-                        accuracy=accuracy)
+        if self._noisy_cov is None:
+            self._noisy_cov = PdMatrix(np.eye(self.dim) + self._sigma.entries)
+        return MvnQuery(upper=ys * self._mu, mean=np.zeros(self.dim),
+                        cov=self._noisy_cov._sign_flipped(ys), accuracy=accuracy)
 
     def pmf(self, y: SignVector, accuracy: float = 1e-6, seed: int = 0) -> MvnEstimate:
         """P(Y = y) as an MVN CDF evaluation, with its error estimate."""
@@ -144,7 +148,9 @@ class ProbitBernoulli:
         """Distribution of the coordinates in ``keep`` (0-based indices).
 
         Marginalizing the latent Gaussian marginalizes the sign vector, so
-        this just restricts (mu, Sigma).
+        this just restricts (mu, Sigma). A principal submatrix of a valid
+        Sigma is symmetric and finite, so only its Cholesky pivots are
+        checked.
         """
         requested = [int(i) for i in keep]
         idx = sorted(set(requested))
@@ -154,7 +160,7 @@ class ProbitBernoulli:
             raise ValueError("keep must not contain duplicate indices")
         if idx[0] < 0 or idx[-1] >= self.dim:
             raise ValueError(f"keep indices must lie in [0, {self.dim})")
-        sub = PdMatrix.from_entries(len(idx), self._sigma.entries[np.ix_(idx, idx)])
+        sub = PdMatrix(self._sigma.entries[np.ix_(idx, idx)])
         return ProbitBernoulli(self._mu[idx], sub)
 
     def __repr__(self) -> str:

@@ -4,12 +4,6 @@ import pytest
 from phiprod.pd_matrix import PdMatrix
 
 
-def random_pd(rng: np.random.Generator, n: int) -> PdMatrix:
-    """Random SPD test matrix G^T G + 0.1 I."""
-    g = rng.standard_normal((n, n))
-    return PdMatrix.from_entries(n, g.T @ g + 0.1 * np.eye(n))
-
-
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 
-from conftest import random_pd
 from phiprod import oracles
 from phiprod.gauss_scalar import cdf as scalar_cdf
 from phiprod.gauss_scalar import owen_t
@@ -27,6 +26,7 @@ from phiprod.pd_matrix import (
     precision_blocks_from_variances,
 )
 from phiprod.probit_bernoulli import ProbitBernoulli, SignVector
+from phiprod.verify import random_pd
 
 SEED = 20240817
 

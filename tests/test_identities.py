@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate
 from scipy.special import ndtr
 
-from conftest import random_pd
 from phiprod import identities, oracles
 from phiprod.identities import (
     ScalarMixParams,
@@ -17,6 +16,7 @@ from phiprod.identities import (
 )
 from phiprod.mvn_cdf import cdf as mvn_cdf
 from phiprod.pd_matrix import PdMatrix
+from phiprod.verify import random_pd
 
 
 class TestSharedNoiseCov:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from conftest import random_pd
 from phiprod import mvn_cdf, oracles
 from phiprod.gauss_scalar import cdf as scalar_cdf
 from phiprod.mvn_cdf import MvnEstimate, MvnQuery, bivariate_cdf, cdf
 from phiprod.pd_matrix import NotPositiveDefiniteError, PdMatrix, _cholesky_lower
+from phiprod.verify import random_pd
 
 
 def _query(upper, mean, entries, **kw):

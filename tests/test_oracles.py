@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from conftest import random_pd
 from phiprod import oracles
 from phiprod.identities import ScalarMixParams, VectorMixParams
 from phiprod.mvn_cdf import MvnQuery, bivariate_cdf
 from phiprod.pd_matrix import PdMatrix
+from phiprod.verify import random_pd
 
 
 class TestGaussHermiteNodes:
@@ -226,3 +226,10 @@ class TestBivariateQuadratureOracle:
         worst = max(abs(oracles.bivariate_cdf_quad(h, k, rho) - bivariate_cdf(h, k, rho))
                     for h in grid for k in grid)
         assert worst <= 1e-10
+
+    def test_narrow_mass_near_the_upper_limit(self):
+        # the integrand falls from 6e-12 at h to 7e-14 at the Kronrod node
+        # nearest h of one panel on [h - 40, h], which then passed its test
+        h, k, rho = -1.9713, 0.1545, -0.9617
+        gap = abs(oracles.bivariate_cdf_quad(h, k, rho) - bivariate_cdf(h, k, rho))
+        assert gap <= 1e-13

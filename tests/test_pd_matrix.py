@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
-from conftest import random_pd
 from phiprod.pd_matrix import (
     InternalConsistencyError,
     NotPositiveDefiniteError,
@@ -16,6 +18,7 @@ from phiprod.pd_matrix import (
     partitioned_inverse_check,
     precision_blocks_from_variances,
 )
+from phiprod.verify import random_pd
 
 
 class TestConstruction:
@@ -66,6 +69,89 @@ class TestConstruction:
             m = random_pd(rng, n)
             err = np.linalg.norm(m.chol @ m.chol.T - m.entries)
             assert err <= 1e-10 * np.linalg.norm(m.entries)
+
+
+def _reference_cholesky(entries: np.ndarray):
+    """The unblocked recurrence, pivot by pivot, with the same acceptance rule.
+
+    Returns (chol, failure or None, pivots computed), where failure is
+    (pivot_index, pivot, threshold) of the first pivot not above the
+    threshold dim * 1e-12 * max diagonal entry, and chol holds the rows
+    finished before it.
+    """
+    n = entries.shape[0]
+    threshold = n * 1e-12 * float(np.max(np.diagonal(entries)))
+    chol = np.zeros_like(entries)
+    pivots = []
+    for j in range(n):
+        pivot = float(entries[j, j] - chol[j, :j] @ chol[j, :j])
+        pivots.append(pivot)
+        if not pivot > threshold:
+            return chol, (j, pivot, threshold), pivots
+        root = math.sqrt(pivot)
+        chol[j, j] = root
+        chol[j + 1:, j] = (entries[j + 1:, j] - chol[j + 1:, :j] @ chol[j, :j]) / root
+    return chol, None, pivots
+
+
+def _pivot_rounding_bound(chol: np.ndarray, j: int, pivot: float) -> float:
+    """First-order bound on the rounding error of pivot j in Cholesky.
+
+    A computed factor is exact for A + E with |E| <= gamma_(n+1) |L| |L^T|
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3), and
+    the pivot a_jj - a^T A_:j,:j^-1 a then moves by at most v^T |E| v, with
+    v = (|A_:j,:j^-1 a|, 1). Row j of L is completed by sqrt(|pivot|).
+    """
+    n = chol.shape[0]
+    w = solve_triangular(chol[:j, :j].T, chol[j, :j], lower=False)
+    v = np.append(np.abs(w), 1.0)
+    lower = np.abs(chol[:j + 1, :j + 1])
+    lower[j, j] = math.sqrt(abs(pivot))
+    lv = lower.T @ v
+    u = np.finfo(float).eps / 2
+    return (n + 1) * u / (1 - (n + 1) * u) * float(lv @ lv)
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """Q diag(eig) Q^T of size 1-16: PD, with its smallest eigenvalue within
+    three decades of the pivot threshold, or with negative eigenvalues."""
+    n = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(("pd", "near_singular", "indefinite")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eig = 10.0 ** rng.uniform(-2.0, 1.0, size=n)
+    if kind == "near_singular":
+        eig[0] = n * 1e-12 * eig.max() * 10.0 ** rng.uniform(-3.0, 3.0)
+    elif kind == "indefinite":
+        eig[:int(rng.integers(1, n + 1))] *= -1.0
+    a = (q * eig) @ q.T
+    return 10.0 ** draw(st.floats(-3.0, 3.0)) * (0.5 * (a + a.T))
+
+
+class TestFactorizationContract:
+    @given(_symmetric_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unblocked_reference(self, entries):
+        n = entries.shape[0]
+        ref_chol, ref_fail, pivots = _reference_cholesky(entries)
+        threshold = n * 1e-12 * float(np.max(np.diagonal(entries)))
+        # rounding may put a pivot this close to the threshold on either side
+        assume(all(abs(p - threshold) > 1e-6 * abs(threshold) for p in pivots))
+        if ref_fail is None:
+            m = PdMatrix.from_entries(n, entries)
+            scale = np.max(np.abs(entries))
+            assert np.max(np.abs(m.chol @ m.chol.T - entries)) <= 1e-12 * scale
+            return
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            PdMatrix.from_entries(n, entries)
+        index, pivot, threshold = ref_fail
+        assert info.value.pivot_index == index
+        assert info.value.threshold == threshold
+        # each factorization is within the bound of the exact pivot; small
+        # accepted pivots before j amplify it past 1e-14 * max |a_ii|
+        bound = _pivot_rounding_bound(ref_chol, index, pivot)
+        assert abs(info.value.pivot - pivot) <= 2.0 * bound
 
 
 class TestPrecisionBlocks:

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from conftest import random_pd
 from phiprod.gauss_scalar import cdf as scalar_cdf
 from phiprod.mvn_cdf import MvnQuery, cdf as mvn_cdf
 from phiprod.pd_matrix import PdMatrix
 from phiprod.probit_bernoulli import ProbitBernoulli, SignVector
-from phiprod.verify import _REFERENCE_SEED_OFFSET
+from phiprod.verify import _REFERENCE_SEED_OFFSET, random_pd
 
 
 class TestSignVector:
@@ -102,6 +101,25 @@ class TestPmf:
             for d, signs in ((ProbitBernoulli(mu, sig), y), (ProbitBernoulli(-mu, sig),
                                                              y.flipped())):
                 assert abs(d.pmf(signs, accuracy=1e-5, seed=i).value - ref) <= 2e-5
+
+    def test_shared_orthant_factor_matches_query_built_by_hand(self, rng):
+        # every orthant's covariance is a sign flip of the one factored
+        # I + Sigma; the query built by hand factors it afresh
+        for n in range(1, 6):
+            for _ in range(2):
+                mu = rng.uniform(-1.5, 1.5, size=n)
+                sig = random_pd(rng, n)
+                d = ProbitBernoulli(mu, sig)
+                for s, y in enumerate(d.support()):
+                    ys = y.as_array()
+                    entries = np.eye(n) + sig.entries * np.outer(ys, ys)
+                    cov = d._query(y, 1e-5).cov
+                    assert np.array_equal(cov.entries, entries)
+                    by_hand = PdMatrix.from_entries(n, entries)
+                    assert np.max(np.abs(cov.chol - by_hand.chol)) <= 1e-14
+                    ref = mvn_cdf(MvnQuery(upper=ys * mu, mean=np.zeros(n), cov=by_hand,
+                                           accuracy=1e-5), seed=s)
+                    assert d.pmf(y, accuracy=1e-5, seed=s) == ref
 
     def test_wrong_length_sign_vector(self, sign_fixture):
         d = ProbitBernoulli(*sign_fixture)

@@ -319,5 +319,16 @@ def bivariate_cdf_quad(h: float, k: float, rho: float, tol: float = 1e-13) -> fl
         return inv_sqrt_2pi * math.exp(-0.5 * x * x) * float(ndtr((k - rho * x) / root))
 
     span = _BIVARIATE_BREAKS[-1] - _BIVARIATE_BREAKS[0]
-    return sum(_adaptive(f, h + lo, h + hi, tol * (hi - lo) / span, _MAX_QUAD_DEPTH)
-               for lo, hi in zip(_BIVARIATE_BREAKS, _BIVARIATE_BREAKS[1:]))
+    total = 0.0
+    failed = False
+    for lo, hi in zip(_BIVARIATE_BREAKS, _BIVARIATE_BREAKS[1:]):
+        # like sibling panels in _adaptive, a piece that hits the depth
+        # limit adds its partial sum and the other pieces still run
+        try:
+            total += _adaptive(f, h + lo, h + hi, tol * (hi - lo) / span, _MAX_QUAD_DEPTH)
+        except QuadratureDepthError as exc:
+            total += exc.partial
+            failed = True
+    if failed:
+        raise QuadratureDepthError(total)
+    return total

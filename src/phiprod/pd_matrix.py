@@ -7,13 +7,10 @@ and dense (dim <= ~20); near-PD inputs are rejected rather than repaired
 so that downstream identity checks never run on silently altered data.
 
 The lower Cholesky factor comes from LAPACK ``potrf``, followed by a
-scale-aware pivot check: every squared diagonal entry of the factor must
-exceed dim * 1e-12 * max diagonal entry. A matrix that ``potrf`` rejects,
-or whose factor fails the check, raises :class:`NotPositiveDefiniteError`
-at the first failing pivot. A sign flip D M D with D = diag(+/-1) has the
-factor D L D exactly (every product and sum in the factorization only
-changes sign), so it is built from an existing factor without factoring
-again; see :meth:`PdMatrix._sign_flipped`.
+scale-aware pivot check: every pivot (the squared diagonal entry of the
+factor) must exceed dim * 1e-12 * max diagonal entry. A matrix that
+``potrf`` rejects, or whose factor fails the check, raises
+:class:`NotPositiveDefiniteError` at the first failing pivot.
 """
 
 from __future__ import annotations
@@ -77,20 +74,26 @@ def _pivot_root(index: int, pivot: float, threshold: float) -> float:
 def _cholesky_lower(entries: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor by LAPACK potrf, with the scale-aware pivot check.
 
-    The pivots potrf accepted are diag(L)^2; the first one not above the
-    threshold, or else the pivot potrf stopped at, fails. The reported pivot
-    is a_jj - L_j,:j . L_j,:j, from the rows potrf finished before it.
+    A pivot potrf accepted is flagged when diag(L)^2 is not above the
+    threshold. A flagged pivot is recomputed as a_jj - L_j,:j . L_j,:j from
+    the rows potrf finished before it, and that one number both decides and
+    is reported, since diag(L)^2 can round to the other side of the
+    threshold. The pivot potrf stopped at, if any, fails outright: potrf
+    found it <= 0, and the recomputation differs from that only by rounding
+    of order dim * eps * a_jj, far below the threshold.
     """
     threshold = _pivot_threshold(entries)
     chol, info = dpotrf(entries, lower=1)
     accepted = entries.shape[0] if info == 0 else info - 1
     diag = chol.diagonal()[:accepted]
-    low = np.flatnonzero(~(diag * diag > threshold))
-    if low.size == 0 and info == 0:
-        return chol
-    j = int(low[0]) if low.size else accepted
-    pivot = float(entries[j, j] - chol[j, :j] @ chol[j, :j])
-    raise NotPositiveDefiniteError(j, pivot, threshold)
+    suspects = np.flatnonzero(~(diag * diag > threshold)).tolist()
+    if info != 0:
+        suspects.append(accepted)
+    for j in suspects:
+        pivot = float(entries[j, j] - chol[j, :j] @ chol[j, :j])
+        if j == accepted or not pivot > threshold:
+            raise NotPositiveDefiniteError(j, pivot, threshold)
+    return chol
 
 
 class PdMatrix:
@@ -128,22 +131,6 @@ class PdMatrix:
                 f"vs {_ASYM_RTOL:.0e} * max |M| = {_ASYM_RTOL * scale:.3g}"
             )
         return cls(0.5 * (arr + arr.T))
-
-    def _sign_flipped(self, signs: np.ndarray) -> "PdMatrix":
-        """D M D with the factor D L D, where D = diag(signs) and every sign is +/-1.
-
-        Multiplying by +/-1 is exact, and chol(D M D) = D chol(M) D: each
-        product and sum that builds L_ij only changes sign by signs[i] *
-        signs[j]. The result is therefore valid by construction, and is
-        built without validating or factoring again.
-        """
-        flip = np.outer(signs, signs)
-        out = PdMatrix.__new__(PdMatrix)
-        out._entries = self._entries * flip
-        out._chol = self._chol * flip
-        out._entries.flags.writeable = False
-        out._chol.flags.writeable = False
-        return out
 
     @property
     def dim(self) -> int:

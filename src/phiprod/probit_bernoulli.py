@@ -6,13 +6,9 @@ y_r in {-1, +1}. Marginally the sign vector has
 
     pmf(y) = F_N(D_y mu | 0, I + D_y Sigma D_y),   D_y = diag(y),
 
-an orthant probability of the noise-augmented latent Gaussian. Every
-orthant covariance I + D_y Sigma D_y = D_y (I + Sigma) D_y is a sign flip
-of one matrix, whose Cholesky factor is D_y chol(I + Sigma) D_y exactly,
-so one factor of I + Sigma, computed on the first ``pmf`` call, serves all
-2^N orthants. The family is closed under marginalization of coordinates,
-and sampling reduces to y = sign(f + eps) with eps ~ N(0, I) drawn
-alongside f.
+an orthant probability of the noise-augmented latent Gaussian. The family
+is closed under marginalization of coordinates, and sampling reduces to
+y = sign(f + eps) with eps ~ N(0, I) drawn alongside f.
 """
 
 from __future__ import annotations
@@ -76,7 +72,6 @@ class ProbitBernoulli:
         mu.flags.writeable = False
         self._mu = mu
         self._sigma = sigma
-        self._noisy_cov: PdMatrix | None = None  # I + Sigma, factored on first use
 
     @property
     def dim(self) -> int:
@@ -94,10 +89,10 @@ class ProbitBernoulli:
         ys = y.as_array()
         if ys.shape != (self.dim,):
             raise ValueError(f"sign vector has length {len(y)}, expected {self.dim}")
-        if self._noisy_cov is None:
-            self._noisy_cov = PdMatrix(np.eye(self.dim) + self._sigma.entries)
-        return MvnQuery(upper=ys * self._mu, mean=np.zeros(self.dim),
-                        cov=self._noisy_cov._sign_flipped(ys), accuracy=accuracy)
+        # I + D_y Sigma D_y is symmetric and finite by construction
+        cov = PdMatrix(np.eye(self.dim) + self._sigma.entries * np.outer(ys, ys))
+        return MvnQuery(upper=ys * self._mu, mean=np.zeros(self.dim), cov=cov,
+                        accuracy=accuracy)
 
     def pmf(self, y: SignVector, accuracy: float = 1e-6, seed: int = 0) -> MvnEstimate:
         """P(Y = y) as an MVN CDF evaluation, with its error estimate."""

@@ -23,7 +23,7 @@ from .mvn_cdf import MvnQuery, cdf as mvn_cdf_eval
 from .pd_matrix import PdMatrix
 from .probit_bernoulli import ProbitBernoulli, SignVector
 
-__all__ = ["CheckResult", "SUITE_NAMES", "random_pd", "run_suites"]
+__all__ = ["CheckResult", "SUITE_NAMES", "run_suites"]
 
 SUITE_NAMES = ("scalar", "matrix", "identity-scalar", "identity-vector", "bernoulli")
 
@@ -48,7 +48,7 @@ def _scaled(count: int, trials: int) -> int:
     return max(1, round(count * trials / 100))
 
 
-def random_pd(rng: np.random.Generator, n: int) -> PdMatrix:
+def _random_pd(rng: np.random.Generator, n: int) -> PdMatrix:
     """Random SPD matrix G^T G + 0.1 I with G standard normal, n x n.
 
     The tests draw their matrices here too, so a seeded draw is the same
@@ -108,7 +108,7 @@ def _suite_matrix(trials: int, seed: int, accuracy: float, perturb: float):
     worst = 0.0
     for _ in range(_scaled(200, trials)):
         n = int(rng.integers(1, 9))
-        m = random_pd(rng, n)
+        m = _random_pd(rng, n)
         err = np.linalg.norm(m.chol @ m.chol.T - m.entries) / np.linalg.norm(m.entries)
         worst = max(worst, err)
     yield CheckResult("matrix", "cholesky_reconstruction", worst <= 1e-10,
@@ -141,7 +141,7 @@ def _suite_matrix(trials: int, seed: int, accuracy: float, perturb: float):
     worst = 0.0
     for _ in range(_scaled(50, trials)):
         n = int(rng.integers(1, 9))
-        m = random_pd(rng, n)
+        m = _random_pd(rng, n)
         rhs = rng.standard_normal(n)
         x = pd_matrix.cholesky_solve(m, rhs)
         resid = np.max(np.abs(m.entries @ x - rhs)) / max(np.max(np.abs(rhs)), 1e-30)
@@ -234,7 +234,7 @@ def _suite_identity_vector(trials: int, seed: int, accuracy: float, perturb: flo
         n = int(rng.integers(1, 5))
         params = VectorMixParams(
             mu=rng.uniform(-2.0, 2.0, size=n),
-            sigma=random_pd(rng, n),
+            sigma=_random_pd(rng, n),
             m=rng.uniform(-2.0, 2.0, size=n),
             v=rng.uniform(0.3, 2.0, size=n),
         )
@@ -295,7 +295,7 @@ def _suite_bernoulli(trials: int, seed: int, accuracy: float, perturb: float):
     passed = True
     for i in range(_scaled(20, trials)):
         n = int(rng.integers(1, 9))
-        d = ProbitBernoulli(rng.uniform(-1.5, 1.5, size=n), random_pd(rng, n))
+        d = ProbitBernoulli(rng.uniform(-1.5, 1.5, size=n), _random_pd(rng, n))
         dev = abs(d.normalization(accuracy=accuracy, seed=seed + i) + perturb - 1.0)
         worst = max(worst, dev / (2**n * accuracy))
         passed = passed and dev <= 2**n * accuracy
@@ -308,7 +308,7 @@ def _suite_bernoulli(trials: int, seed: int, accuracy: float, perturb: float):
     for i in range(_scaled(50, trials)):
         n = int(rng.integers(1, 7))
         mu = rng.uniform(-1.5, 1.5, size=n)
-        sig = random_pd(rng, n)
+        sig = _random_pd(rng, n)
         y = SignVector(tuple(rng.choice([-1, 1], size=n).tolist()))
         ys = np.asarray(y.signs, dtype=float)
         by_hand = MvnQuery(upper=ys * mu, mean=np.zeros(n), accuracy=accuracy,
@@ -324,7 +324,7 @@ def _suite_bernoulli(trials: int, seed: int, accuracy: float, perturb: float):
     worst = 0.0
     for i in range(_scaled(20, trials)):
         n = int(rng.integers(2, 6))
-        d = ProbitBernoulli(rng.uniform(-1.5, 1.5, size=n), random_pd(rng, n))
+        d = ProbitBernoulli(rng.uniform(-1.5, 1.5, size=n), _random_pd(rng, n))
         k = int(rng.integers(1, n))
         keep = sorted(rng.choice(n, size=k, replace=False).tolist())
         marg = d.marginalize(keep)
@@ -343,7 +343,7 @@ def _suite_bernoulli(trials: int, seed: int, accuracy: float, perturb: float):
     detail = ""
     for i in range(_scaled(10, trials)):
         n = int(rng.integers(1, 4))
-        d = ProbitBernoulli(rng.uniform(-1.0, 1.0, size=n), random_pd(rng, n))
+        d = ProbitBernoulli(rng.uniform(-1.0, 1.0, size=n), _random_pd(rng, n))
         draws = d.sample(1_000_000, seed=seed + i)
         for y in d.support():
             p = d.pmf(y, accuracy=accuracy, seed=seed + i).value
@@ -359,7 +359,7 @@ def _suite_bernoulli(trials: int, seed: int, accuracy: float, perturb: float):
     for i in range(10):
         n = int(rng.integers(1, 5))
         mu = rng.uniform(-1.5, 1.5, size=n)
-        sig = random_pd(rng, n)
+        sig = _random_pd(rng, n)
         ys = rng.choice([-1, 1], size=n).astype(float)
         cov = PdMatrix.from_entries(n, np.eye(n) + sig.entries * np.outer(ys, ys))
         shifted = mvn_cdf_eval(MvnQuery(upper=np.zeros(n), mean=-ys * mu, cov=cov,
@@ -375,7 +375,7 @@ def _suite_bernoulli(trials: int, seed: int, accuracy: float, perturb: float):
     worst = 0.0
     for i in range(10):
         n = int(rng.integers(1, 5))
-        d = ProbitBernoulli(rng.uniform(-1.5, 1.5, size=n), random_pd(rng, n))
+        d = ProbitBernoulli(rng.uniform(-1.5, 1.5, size=n), _random_pd(rng, n))
         enum = np.zeros(n)
         for y in d.support():
             enum += y.as_array() * d.pmf(y, accuracy=accuracy, seed=seed + i).value

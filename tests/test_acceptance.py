@@ -26,7 +26,7 @@ from phiprod.pd_matrix import (
     precision_blocks_from_variances,
 )
 from phiprod.probit_bernoulli import ProbitBernoulli, SignVector
-from phiprod.verify import random_pd
+from phiprod.verify import _random_pd
 
 SEED = 20240817
 
@@ -99,7 +99,7 @@ def test_criterion_03_vector_identity_suite():
         n = int(rng.integers(1, 5))
         params = VectorMixParams(
             mu=rng.uniform(-2, 2, size=n),
-            sigma=random_pd(rng, n),
+            sigma=_random_pd(rng, n),
             m=rng.uniform(-2, 2, size=n),
             v=rng.uniform(0.3, 2.0, size=n),
         )
@@ -151,7 +151,7 @@ def test_criterion_06_pmf_normalization():
     ok = True
     for i in range(20):
         n = int(rng.integers(1, 9))
-        d = ProbitBernoulli(rng.uniform(-1.5, 1.5, size=n), random_pd(rng, n))
+        d = ProbitBernoulli(rng.uniform(-1.5, 1.5, size=n), _random_pd(rng, n))
         dev = abs(d.normalization(accuracy=1e-6, seed=SEED + i) - 1.0)
         budget = 2**n * 1e-6
         worst_ratio = max(worst_ratio, dev / budget)
@@ -195,7 +195,7 @@ def test_criterion_09_owen_t_grid():
 
 def test_criterion_10_determinism_and_full_verify():
     rng = np.random.default_rng(SEED + 5)
-    cov = random_pd(rng, 4)
+    cov = _random_pd(rng, 4)
     q = MvnQuery(upper=rng.uniform(-1, 2, 4), mean=np.zeros(4), cov=cov)
     same_cdf = mvn_cdf(q, seed=11) == mvn_cdf(q, seed=11)
 
@@ -204,7 +204,7 @@ def test_criterion_10_determinism_and_full_verify():
 
     same_mc = (oracles.mvn_mc(q, draws=50_000, seed=11)
                == oracles.mvn_mc(q, draws=50_000, seed=11))
-    params = VectorMixParams(mu=[0.1, -0.2], sigma=random_pd(rng, 2),
+    params = VectorMixParams(mu=[0.1, -0.2], sigma=_random_pd(rng, 2),
                              m=[0.0, 0.1], v=[1.0, 0.7])
     same_vec = (oracles.cdf_product_vector_mc(params, draws=50_000, seed=11)
                 == oracles.cdf_product_vector_mc(params, draws=50_000, seed=11))

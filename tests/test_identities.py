@@ -16,7 +16,7 @@ from phiprod.identities import (
 )
 from phiprod.mvn_cdf import cdf as mvn_cdf
 from phiprod.pd_matrix import PdMatrix
-from phiprod.verify import random_pd
+from phiprod.verify import _random_pd
 
 
 class TestSharedNoiseCov:
@@ -234,7 +234,7 @@ class TestVectorMix:
             n = int(rng.integers(1, 5))
             params = VectorMixParams(
                 mu=rng.uniform(-2, 2, size=n),
-                sigma=random_pd(rng, n),
+                sigma=_random_pd(rng, n),
                 m=rng.uniform(-2, 2, size=n),
                 v=rng.uniform(0.3, 2.0, size=n),
             )

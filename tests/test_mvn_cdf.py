@@ -8,7 +8,7 @@ from phiprod import mvn_cdf, oracles
 from phiprod.gauss_scalar import cdf as scalar_cdf
 from phiprod.mvn_cdf import MvnEstimate, MvnQuery, bivariate_cdf, cdf
 from phiprod.pd_matrix import NotPositiveDefiniteError, PdMatrix, _cholesky_lower
-from phiprod.verify import random_pd
+from phiprod.verify import _random_pd
 
 
 def _query(upper, mean, entries, **kw):
@@ -90,7 +90,7 @@ class TestBivariate:
 
 class TestQmcPath:
     def test_agrees_with_monte_carlo_n4(self, rng):
-        cov = random_pd(rng, 4)
+        cov = _random_pd(rng, 4)
         q = MvnQuery(upper=rng.uniform(-1.0, 2.0, 4), mean=rng.uniform(-1.0, 1.0, 4),
                      cov=cov, accuracy=1e-6)
         est = cdf(q, seed=3)
@@ -112,7 +112,7 @@ class TestQmcPath:
     def test_monotone_in_upper(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 6))
-            cov = random_pd(rng, n)
+            cov = _random_pd(rng, n)
             upper = rng.uniform(-1.5, 1.5, n)
             mean = rng.uniform(-1.0, 1.0, n)
             lo = cdf(MvnQuery(upper=upper, mean=mean, cov=cov, accuracy=1e-5), seed=5)
@@ -124,7 +124,7 @@ class TestQmcPath:
     def test_marginalization_consistency(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 6))
-            cov = random_pd(rng, n)
+            cov = _random_pd(rng, n)
             upper = rng.uniform(-1.5, 1.5, n)
             mean = rng.uniform(-1.0, 1.0, n)
             padded = upper.copy()
@@ -138,12 +138,12 @@ class TestQmcPath:
             assert abs(full.value - sub.value) <= slack
 
     def test_deterministic_given_seed(self, rng):
-        cov = random_pd(rng, 4)
+        cov = _random_pd(rng, 4)
         q = MvnQuery(upper=rng.uniform(-1, 2, 4), mean=np.zeros(4), cov=cov)
         assert cdf(q, seed=123) == cdf(q, seed=123)
 
     def test_budget_exhaustion_flags_error_not_raises(self, rng):
-        cov = random_pd(rng, 5)
+        cov = _random_pd(rng, 5)
         q = MvnQuery(upper=rng.uniform(-1, 1, 5), mean=np.zeros(5), cov=cov,
                      accuracy=1e-9, max_samples=12 * 4096)
         est = cdf(q, seed=0)
@@ -160,7 +160,7 @@ class TestEmbeddedLattice:
                                          max_samples):
         n = 5
         q = MvnQuery(upper=rng.uniform(-1, 1, n), mean=np.zeros(n),
-                     cov=random_pd(rng, n), accuracy=accuracy,
+                     cov=_random_pd(rng, n), accuracy=accuracy,
                      max_samples=max_samples)
         seen = []
         real = mvn_cdf.ndtri
@@ -177,7 +177,7 @@ class TestEmbeddedLattice:
 
     def test_levels_embed_in_a_single_pass(self, rng):
         n, n_max = 5, 4096
-        chol = np.linalg.cholesky(random_pd(rng, n).entries)
+        chol = np.linalg.cholesky(_random_pd(rng, n).entries)
         b = rng.uniform(-1, 1, n)
         z = mvn_cdf._korobov_vector(n_max, n - 1)
         shifts = rng.random((12, n - 1))
@@ -196,7 +196,7 @@ class TestEmbeddedLattice:
         assert easy.method == "qmc_genz"
         assert easy.converged is True
         assert easy.err_estimate <= 1e-6
-        cov = random_pd(rng, 5)
+        cov = _random_pd(rng, 5)
         q = MvnQuery(upper=rng.uniform(-1, 1, 5), mean=np.zeros(5), cov=cov,
                      accuracy=1e-9, max_samples=12 * 4096)
         starved = cdf(q, seed=0)
@@ -217,7 +217,7 @@ class TestVariableOrder:
             if n > 3:
                 upper[int(rng.integers(0, n))] = math.inf
             mean = rng.uniform(-1.0, 1.0, n)
-            cov = random_pd(rng, n)
+            cov = _random_pd(rng, n)
             perm = rng.permutation(n)
             est = cdf(MvnQuery(upper=upper, mean=mean, cov=cov, accuracy=1e-5), seed=4)
             permuted = cdf(MvnQuery(
@@ -271,7 +271,7 @@ class TestVariableOrder:
         ratios = []
         for i in range(200):
             n = int(rng.integers(3, 9))
-            sig = random_pd(rng, n)
+            sig = _random_pd(rng, n)
             if i % 2:
                 ys = rng.choice([-1.0, 1.0], size=n)
                 upper = ys * rng.uniform(-1.5, 1.5, n)
@@ -314,7 +314,7 @@ class TestQueryValidation:
 
     def test_estimate_within_unit_interval(self, rng):
         for _ in range(10):
-            cov = random_pd(rng, 3)
+            cov = _random_pd(rng, 3)
             q = MvnQuery(upper=rng.uniform(-3, 3, 3), mean=np.zeros(3), cov=cov,
                          accuracy=1e-4)
             est = cdf(q, seed=2)

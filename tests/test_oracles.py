@@ -8,7 +8,7 @@ from phiprod import oracles
 from phiprod.identities import ScalarMixParams, VectorMixParams
 from phiprod.mvn_cdf import MvnQuery, bivariate_cdf
 from phiprod.pd_matrix import PdMatrix
-from phiprod.verify import random_pd
+from phiprod.verify import _random_pd
 
 
 class TestGaussHermiteNodes:
@@ -104,7 +104,7 @@ class TestVectorMonteCarloOracle:
         assert abs(est - ref) <= 3.0 * se
 
     def test_deterministic(self, rng):
-        params = VectorMixParams(mu=rng.uniform(-1, 1, 3), sigma=random_pd(rng, 3),
+        params = VectorMixParams(mu=rng.uniform(-1, 1, 3), sigma=_random_pd(rng, 3),
                                  m=rng.uniform(-1, 1, 3), v=rng.uniform(0.3, 2, 3))
         assert (oracles.cdf_product_vector_mc(params, draws=50_000, seed=9)
                 == oracles.cdf_product_vector_mc(params, draws=50_000, seed=9))
@@ -113,7 +113,7 @@ class TestVectorMonteCarloOracle:
         # estimates from disjoint streams should agree within pooled error
         for i in range(20):
             n = int(rng.integers(1, 5))
-            params = VectorMixParams(mu=rng.uniform(-1, 1, n), sigma=random_pd(rng, n),
+            params = VectorMixParams(mu=rng.uniform(-1, 1, n), sigma=_random_pd(rng, n),
                                      m=rng.uniform(-1, 1, n), v=rng.uniform(0.3, 2, n))
             a, sa = oracles.cdf_product_vector_mc(params, draws=100_000, seed=2 * i)
             b, sb = oracles.cdf_product_vector_mc(params, draws=100_000, seed=2 * i + 1)
@@ -226,6 +226,15 @@ class TestBivariateQuadratureOracle:
         worst = max(abs(oracles.bivariate_cdf_quad(h, k, rho) - bivariate_cdf(h, k, rho))
                     for h in grid for k in grid)
         assert worst <= 1e-10
+
+    def test_depth_exhaustion_carries_every_piece(self, monkeypatch):
+        # one panel per piece: the pieces that fail and the ones that pass
+        # must all be in the partial sum
+        monkeypatch.setattr(oracles, "_MAX_QUAD_DEPTH", 0)
+        h, k, rho = 0.5, 0.3, 0.5
+        with pytest.raises(oracles.QuadratureDepthError) as info:
+            oracles.bivariate_cdf_quad(h, k, rho)
+        assert abs(info.value.partial - bivariate_cdf(h, k, rho)) <= 1e-9
 
     def test_narrow_mass_near_the_upper_limit(self):
         # the integrand falls from 6e-12 at h to 7e-14 at the Kronrod node

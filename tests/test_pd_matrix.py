@@ -18,7 +18,7 @@ from phiprod.pd_matrix import (
     partitioned_inverse_check,
     precision_blocks_from_variances,
 )
-from phiprod.verify import random_pd
+from phiprod.verify import _random_pd
 
 
 class TestConstruction:
@@ -66,7 +66,7 @@ class TestConstruction:
     def test_reconstruction_on_random_draws(self, rng):
         for _ in range(200):
             n = int(rng.integers(1, 9))
-            m = random_pd(rng, n)
+            m = _random_pd(rng, n)
             err = np.linalg.norm(m.chol @ m.chol.T - m.entries)
             assert err <= 1e-10 * np.linalg.norm(m.entries)
 
@@ -152,6 +152,25 @@ class TestFactorizationContract:
         # accepted pivots before j amplify it past 1e-14 * max |a_ii|
         bound = _pivot_rounding_bound(ref_chol, index, pivot)
         assert abs(info.value.pivot - pivot) <= 2.0 * bound
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 7.0])
+    @pytest.mark.parametrize("ulps", [-3, -2, -1, 0, 1, 2, 3])
+    def test_pivot_a_few_ulps_from_the_threshold(self, scale, ulps):
+        # pivot 1 is exactly t, while potrf's diag(L)^2 = sqrt(t)^2 can round
+        # to the other side of the threshold; t alone must decide
+        threshold = 3 * 1e-12 * scale
+        t = threshold
+        for _ in range(abs(ulps)):
+            t = math.nextafter(t, math.inf if ulps > 0 else -math.inf)
+        entries = np.diag([scale, t, scale])
+        if ulps > 0:
+            assert np.array_equal(PdMatrix(entries).chol, np.sqrt(entries))
+            return
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            PdMatrix(entries)
+        assert info.value.pivot_index == 1
+        assert info.value.pivot == t
+        assert info.value.threshold == threshold
 
 
 class TestPrecisionBlocks:
@@ -240,7 +259,7 @@ class TestCholeskySolve:
         assert np.allclose(cholesky_solve(m, [4.0, 6.0]), [2.0, 3.0])
 
     def test_residual_on_random_system(self, rng):
-        m = random_pd(rng, 5)
+        m = _random_pd(rng, 5)
         rhs = rng.standard_normal(5)
         x = cholesky_solve(m, rhs)
         resid = np.max(np.abs(m.entries @ x - rhs))

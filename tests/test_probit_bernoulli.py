@@ -9,7 +9,7 @@ from phiprod.gauss_scalar import cdf as scalar_cdf
 from phiprod.mvn_cdf import MvnQuery, cdf as mvn_cdf
 from phiprod.pd_matrix import PdMatrix
 from phiprod.probit_bernoulli import ProbitBernoulli, SignVector
-from phiprod.verify import _REFERENCE_SEED_OFFSET, random_pd
+from phiprod.verify import _REFERENCE_SEED_OFFSET, _random_pd
 
 
 class TestSignVector:
@@ -60,7 +60,7 @@ class TestPmf:
         for i in range(10):
             n = int(rng.integers(1, 6))
             mu = rng.uniform(-1.5, 1.5, size=n)
-            sig = random_pd(rng, n)
+            sig = _random_pd(rng, n)
             y = SignVector(tuple(rng.choice([-1, 1], size=n).tolist()))
             ys = np.asarray(y.signs, dtype=float)
             by_hand = MvnQuery(upper=ys * mu, mean=np.zeros(n), accuracy=1e-5,
@@ -77,7 +77,7 @@ class TestPmf:
         for i in range(5):
             n = int(rng.integers(1, 5))
             mu = rng.uniform(-1.5, 1.5, size=n)
-            sig = random_pd(rng, n)
+            sig = _random_pd(rng, n)
             ys = rng.choice([-1, 1], size=n).astype(float)
             cov = PdMatrix.from_entries(n, np.eye(n) + sig.entries * np.outer(ys, ys))
             shifted = mvn_cdf(MvnQuery(upper=np.zeros(n), mean=-ys * mu, cov=cov,
@@ -92,7 +92,7 @@ class TestPmf:
         for i in range(10):
             n = int(rng.integers(1, 7))
             mu = rng.uniform(-1.5, 1.5, size=n)
-            sig = random_pd(rng, n)
+            sig = _random_pd(rng, n)
             y = SignVector(tuple(rng.choice([-1, 1], size=n).tolist()))
             ys = np.asarray(y.signs, dtype=float)
             ref = multivariate_normal(
@@ -102,13 +102,13 @@ class TestPmf:
                                                              y.flipped())):
                 assert abs(d.pmf(signs, accuracy=1e-5, seed=i).value - ref) <= 2e-5
 
-    def test_shared_orthant_factor_matches_query_built_by_hand(self, rng):
-        # every orthant's covariance is a sign flip of the one factored
-        # I + Sigma; the query built by hand factors it afresh
+    def test_query_matches_query_built_by_hand(self, rng):
+        # _query builds its PdMatrix without the from_entries checks; the
+        # query built by hand runs them
         for n in range(1, 6):
             for _ in range(2):
                 mu = rng.uniform(-1.5, 1.5, size=n)
-                sig = random_pd(rng, n)
+                sig = _random_pd(rng, n)
                 d = ProbitBernoulli(mu, sig)
                 for s, y in enumerate(d.support()):
                     ys = y.as_array()
@@ -116,7 +116,7 @@ class TestPmf:
                     cov = d._query(y, 1e-5).cov
                     assert np.array_equal(cov.entries, entries)
                     by_hand = PdMatrix.from_entries(n, entries)
-                    assert np.max(np.abs(cov.chol - by_hand.chol)) <= 1e-14
+                    assert np.array_equal(cov.chol, by_hand.chol)
                     ref = mvn_cdf(MvnQuery(upper=ys * mu, mean=np.zeros(n), cov=by_hand,
                                            accuracy=1e-5), seed=s)
                     assert d.pmf(y, accuracy=1e-5, seed=s) == ref
@@ -139,7 +139,7 @@ class TestLogPmf:
 
     def test_round_trip(self, rng):
         n = 3
-        d = ProbitBernoulli(rng.uniform(-1, 1, n), random_pd(rng, n))
+        d = ProbitBernoulli(rng.uniform(-1, 1, n), _random_pd(rng, n))
         for y in d.support():
             p = d.pmf(y).value
             if p > 1e-10:
@@ -165,7 +165,7 @@ class TestSample:
     def test_generative_frequencies_match_pmf(self, rng):
         for i in range(3):
             n = int(rng.integers(1, 4))
-            d = ProbitBernoulli(rng.uniform(-1, 1, n), random_pd(rng, n))
+            d = ProbitBernoulli(rng.uniform(-1, 1, n), _random_pd(rng, n))
             draws = d.sample(1_000_000, seed=i)
             for y in d.support():
                 p = d.pmf(y).value
@@ -190,13 +190,13 @@ class TestNormalization:
         assert d.normalization(accuracy=1e-6) == pytest.approx(1.0, abs=1e-9)
 
     def test_six_dim_random(self, rng):
-        d = ProbitBernoulli(rng.uniform(-1.5, 1.5, 6), random_pd(rng, 6))
+        d = ProbitBernoulli(rng.uniform(-1.5, 1.5, 6), _random_pd(rng, 6))
         assert abs(d.normalization(accuracy=1e-6, seed=3) - 1.0) <= 64e-6
 
     def test_random_draws(self, rng):
         for i in range(5):
             n = int(rng.integers(1, 7))
-            d = ProbitBernoulli(rng.uniform(-1.5, 1.5, n), random_pd(rng, n))
+            d = ProbitBernoulli(rng.uniform(-1.5, 1.5, n), _random_pd(rng, n))
             dev = abs(d.normalization(accuracy=1e-5, seed=i) - 1.0)
             assert dev <= 2**n * 1e-5
 
@@ -208,7 +208,7 @@ class TestNormalization:
 
 class TestMean:
     def test_centered_is_zero(self, rng):
-        d = ProbitBernoulli(np.zeros(4), random_pd(rng, 4))
+        d = ProbitBernoulli(np.zeros(4), _random_pd(rng, 4))
         assert np.allclose(d.mean(), 0.0, atol=1e-15)
 
     def test_single_trial_matches_pmf_difference(self):
@@ -219,7 +219,7 @@ class TestMean:
                                             abs=1e-14)
 
     def test_matches_enumeration(self, rng):
-        d = ProbitBernoulli(rng.uniform(-1, 1, 3), random_pd(rng, 3))
+        d = ProbitBernoulli(rng.uniform(-1, 1, 3), _random_pd(rng, 3))
         enum = np.zeros(3)
         for y in d.support():
             enum += y.as_array() * d.pmf(y, accuracy=1e-6).value
@@ -228,7 +228,7 @@ class TestMean:
 
 class TestMarginalize:
     def test_keep_all_is_identity(self, rng):
-        d = ProbitBernoulli(rng.uniform(-1, 1, 3), random_pd(rng, 3))
+        d = ProbitBernoulli(rng.uniform(-1, 1, 3), _random_pd(rng, 3))
         m = d.marginalize([0, 1, 2])
         assert np.array_equal(m.mu, d.mu)
         assert np.array_equal(m.sigma.entries, d.sigma.entries)
@@ -240,7 +240,7 @@ class TestMarginalize:
         assert m.pmf(SignVector((1,))).value == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_enumeration_sum(self, rng):
-        d = ProbitBernoulli(rng.uniform(-1, 1, 4), random_pd(rng, 4))
+        d = ProbitBernoulli(rng.uniform(-1, 1, 4), _random_pd(rng, 4))
         keep = [1, 3]
         marg = d.marginalize(keep)
         for target in itertools.product((-1, 1), repeat=2):
@@ -252,7 +252,7 @@ class TestMarginalize:
 
     @pytest.mark.parametrize("keep", [[], [0, 0], [5], [-1]])
     def test_domain(self, keep, rng):
-        d = ProbitBernoulli(rng.uniform(-1, 1, 3), random_pd(rng, 3))
+        d = ProbitBernoulli(rng.uniform(-1, 1, 3), _random_pd(rng, 3))
         with pytest.raises(ValueError):
             d.marginalize(keep)
 

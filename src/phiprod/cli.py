@@ -59,7 +59,7 @@ def _emit_json(obj: dict) -> None:
 def _estimate_report(command: str, est: MvnEstimate) -> dict:
     return {"command": command, "value": est.value, "err_estimate": est.err_estimate,
             "method": est.method, "n_points": est.n_points, "converged": est.converged,
-            "order": list(est.order)}
+            "order": list(est.order), "tilted": est.tilted}
 
 
 def _scalar_quad(params: ScalarMixParams) -> tuple[float, float]:

@@ -155,6 +155,25 @@ class TestPmfSampleNormalize:
         assert sorted(qmc["order"]) == [0, 1, 2]
         assert exact["order"] == []
 
+    def test_json_reports_whether_the_integrand_was_tilted(self, capsys, tmp_path,
+                                                           diag_cov):
+        path = tmp_path / "c3.json"
+        path.write_text(json.dumps({"dim": 3, "entries": (np.eye(3) + 0.3).tolist()}),
+                        encoding="utf-8")
+        payloads = []
+        for argv in (["pmf", "--mu=-2,-2,-2", "--cov", str(path), "--y", "1,1,1"],
+                     ["pmf", "--mu", "2,2,2", "--cov", str(path), "--y", "1,1,1"],
+                     ["vector", "--mu", "0.2,-0.4", "--m", "0.1,0.3", "--v", "0.9,1.7",
+                      "--cov", diag_cov],
+                     ["scalar", "--mu", "0", "--sigma2", "1", "--m", "0,0", "--v", "1,1"]):
+            assert main(argv + ["--json"]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        tail, bulk, vector, scalar = payloads
+        # a tail orthant (p = 2.3e-3) is tilted, a bulk one (p = 0.76) is not
+        assert (tail["method"], tail["tilted"]) == ("qmc_genz", True)
+        assert (bulk["method"], bulk["tilted"]) == ("qmc_genz", False)
+        assert vector["tilted"] is False and scalar["tilted"] is False
+
     def test_pmf_rejects_non_sign(self, capsys, fixture_cov):
         code = main(["pmf", "--mu", "0,0", "--cov", fixture_cov, "--y", "1,0"])
         assert code == 2

@@ -1,7 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
+from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal
 
 from phiprod import mvn_cdf, oracles
@@ -11,11 +17,63 @@ from phiprod.pd_matrix import NotPositiveDefiniteError, PdMatrix, _cholesky_lowe
 from phiprod.verify import _random_pd
 
 
+HONESTY_REFERENCE = Path(__file__).parent / "data" / "honesty_reference.json"
+
+
+def honesty_queries():
+    """The 200 (seed, upper, mean, cov) draws of the error-bar honesty test:
+    half probit orthants F(D_y mu | 0, I + D_y Sigma D_y), half
+    vector-mixing queries F(mu | m, diag(v^2) + Sigma), N in 3..8."""
+    rng = np.random.default_rng(20260418)
+    for i in range(200):
+        n = int(rng.integers(3, 9))
+        sig = _random_pd(rng, n)
+        if i % 2:
+            ys = rng.choice([-1.0, 1.0], size=n)
+            upper = ys * rng.uniform(-1.5, 1.5, n)
+            mean = np.zeros(n)
+            cov = np.eye(n) + sig.entries * np.outer(ys, ys)
+        else:
+            upper = rng.uniform(-1.5, 1.5, n)
+            mean = rng.uniform(-1.5, 1.5, n)
+            cov = np.diag(rng.uniform(0.3, 2.0, n) ** 2) + sig.entries
+        yield i, upper, mean, cov
+
+
 def _query(upper, mean, entries, **kw):
     n = len(upper)
     return MvnQuery(upper=np.asarray(upper, dtype=float),
                     mean=np.asarray(mean, dtype=float),
                     cov=PdMatrix.from_entries(n, entries), **kw)
+
+
+def _plain_genz_shift_sums(chol, b, e_first, points, shifts):
+    """The untilted Genz kernel, kept as the reference that the tilted kernel
+    must reproduce bit for bit at a zero tilt."""
+    n = b.shape[0]
+    sums = np.empty(shifts.shape[0])
+    y = np.empty_like(points)
+    for s, shift in enumerate(shifts):
+        prod = np.full(points.shape[1], e_first)
+        prev_e = prod
+        for i in range(1, n):
+            u = points[i - 1] + shift[i - 1]
+            u -= np.floor(u)
+            u = 1.0 - np.abs(2.0 * u - 1.0)  # tent periodization
+            y[i - 1] = ndtri(np.clip(u * prev_e, 1e-300, 1.0 - 1e-16))
+            cond = (b[i] - chol[i, :i] @ y[:i]) / chol[i, i]
+            prev_e = ndtr(cond)
+            prod = prod * prev_e
+        sums[s] = prod.sum()
+    return sums
+
+
+def _random_orthant(rng, n, scale=1.5):
+    """A probit orthant F(D_y mu | 0, I + D_y Sigma D_y), |mu_i| <= scale."""
+    ys = rng.choice([-1.0, 1.0], size=n)
+    upper = ys * rng.uniform(-scale, scale, n)
+    cov = np.eye(n) + _random_pd(rng, n).entries * np.outer(ys, ys)
+    return upper, cov
 
 
 class TestExactPaths:
@@ -179,14 +237,16 @@ class TestEmbeddedLattice:
         n, n_max = 5, 4096
         chol = np.linalg.cholesky(_random_pd(rng, n).entries)
         b = rng.uniform(-1, 1, n)
+        tilt, _ = mvn_cdf._minimax_tilt(chol, b)
+        assert np.abs(tilt).max() > 0.0
         z = mvn_cdf._korobov_vector(n_max, n - 1)
         shifts = rng.random((12, n - 1))
         value, err, n_points = mvn_cdf._embedded_lattice_estimate(
-            chol, b, z, shifts, n_max, accuracy=1e-12)
+            chol, b, tilt, z, shifts, n_max, accuracy=1e-12)
         assert n_points == n_max
-        e_first = float(mvn_cdf.ndtr(b[0] / chol[0, 0]))
+        e_first = float(mvn_cdf.ndtr(b[0] / chol[0, 0] - tilt[0]))
         points = mvn_cdf._lattice_points(np.arange(n_max), z, n_max)
-        sums = mvn_cdf._genz_shift_sums(chol, b, e_first, points, shifts)
+        sums = mvn_cdf._genz_shift_sums(chol, b, e_first, points, shifts, tilt)
         ref_value, ref_err = mvn_cdf._shift_estimate(sums / n_max)
         assert abs(value - ref_value) <= 1e-15
         assert abs(err - ref_err) <= 1e-15
@@ -263,31 +323,124 @@ class TestVariableOrder:
         assert fused.value.pivot <= fused.value.threshold
 
     def test_error_bars_stay_honest(self):
-        # 200 calls at accuracy 1e-4 against scipy's Genz code at abseps 1e-6,
-        # half probit orthants F(D_y mu | 0, I + D_y Sigma D_y), half
-        # vector-mixing queries F(mu | m, diag(v^2) + Sigma); honest 3-SE bars
-        # give a mean |value - ref| / err_estimate near 0.27
-        rng = np.random.default_rng(20260418)
+        # 200 calls at accuracy 1e-4 against scipy's Genz code at abseps 1e-8,
+        # stored in tests/data by make_honesty_reference.py; honest 3-SE bars
+        # give a mean |value - ref| / err_estimate near 0.27. The stored
+        # reference must stay tighter than the tilted error bars it judges
+        # (some are 1e-8). A live call at abseps 1e-6 is not (it is off the
+        # stored values by up to 1.5e-6); it guards them against staleness.
+        stored = json.loads(HONESTY_REFERENCE.read_text())
+        assert len(stored) == 200
         ratios = []
-        for i in range(200):
-            n = int(rng.integers(3, 9))
-            sig = _random_pd(rng, n)
-            if i % 2:
-                ys = rng.choice([-1.0, 1.0], size=n)
-                upper = ys * rng.uniform(-1.5, 1.5, n)
-                mean = np.zeros(n)
-                cov = np.eye(n) + sig.entries * np.outer(ys, ys)
-            else:
-                upper = rng.uniform(-1.5, 1.5, n)
-                mean = rng.uniform(-1.5, 1.5, n)
-                cov = np.diag(rng.uniform(0.3, 2.0, n) ** 2) + sig.entries
-            est = cdf(MvnQuery(upper=upper, mean=mean, cov=PdMatrix.from_entries(n, cov),
-                               accuracy=1e-4), seed=i)
-            ref = multivariate_normal(mean=mean, cov=cov, abseps=1e-6, releps=0.0,
-                                      seed=i).cdf(upper)
+        for (i, upper, mean, cov), ref in zip(honesty_queries(), stored):
+            est = cdf(MvnQuery(upper=upper, mean=mean, cov=PdMatrix.from_entries(
+                upper.size, cov), accuracy=1e-4), seed=i)
+            live = multivariate_normal(mean=mean, cov=cov, abseps=1e-6, releps=0.0,
+                                       seed=i).cdf(upper)
+            assert abs(live - ref) <= 2e-6
             ratios.append(abs(est.value - ref) / est.err_estimate)
         assert np.mean(ratios) <= 0.45
         assert sum(r > 1.0 for r in ratios) <= 10
+
+
+class TestMinimaxTilt:
+    def test_zero_tilt_is_the_plain_kernel(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(3, 9))
+            chol = np.linalg.cholesky(_random_pd(rng, n).entries)
+            b = rng.uniform(-2.0, 2.0, n)
+            e_first = float(ndtr(b[0] / chol[0, 0]))
+            points = rng.random((n - 1, 256))
+            shifts = rng.random((12, n - 1))
+            tilted = mvn_cdf._genz_shift_sums(chol, b, e_first, points, shifts,
+                                              np.zeros(n))
+            plain = _plain_genz_shift_sums(chol, b, e_first, points, shifts)
+            assert np.array_equal(tilted, plain)
+
+    def test_tilted_and_plain_estimates_agree(self, rng):
+        # the estimator is unbiased for any tilt: the minimax-tilted and the
+        # plain integrand estimate the same probability, within their bars
+        for i in range(50):
+            n = int(rng.integers(3, 9))
+            if i % 2:
+                b, cov = _random_orthant(rng, n, scale=2.5)
+            else:
+                b = rng.uniform(-2.5, 1.5, n)
+                cov = np.diag(rng.uniform(0.3, 2.0, n) ** 2) + _random_pd(rng, n).entries
+            _, b, chol = mvn_cdf._prioritized_cholesky(b, cov)
+            tilt, psi = mvn_cdf._minimax_tilt(chol, b)
+            assert math.isfinite(psi)
+            n_max = 1 << 17
+            z = mvn_cdf._korobov_vector(n_max, n - 1)
+            shifts = np.random.default_rng(i).random((12, n - 1))
+            tilted, tilted_err, _ = mvn_cdf._embedded_lattice_estimate(
+                chol, b, tilt, z, shifts, n_max, 1e-5)
+            plain, plain_err, _ = mvn_cdf._embedded_lattice_estimate(
+                chol, b, np.zeros(n), z, shifts, n_max, 1e-5)
+            assert abs(tilted - plain) <= tilted_err + plain_err
+
+    def test_tail_orthant_keeps_its_relative_error(self):
+        # the rho = 0.5, N = 5 orthant at b = -4 has the one-factor truth
+        # int phi(w) Phi((b - sqrt(rho) w) / sqrt(1 - rho))^5 dw; the plain
+        # integrand was off by up to 3.7% here while reporting "converged"
+        rho, n, b = 0.5, 5, -4.0
+        root, scale = math.sqrt(rho), math.sqrt(1.0 - rho)
+
+        def integrand(w):
+            return math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi) * \
+                scalar_cdf((b - root * w) / scale) ** n
+
+        edge = abs(b) / root
+        truth = sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12,
+                                   limit=200)[0]
+                    for lo, hi in ((-math.inf, -edge), (-edge, edge), (edge, math.inf)))
+        assert truth == pytest.approx(2.285097e-9, rel=1e-6)
+        q = _query([b] * n, [0.0] * n, (1.0 - rho) * np.eye(n) + rho, accuracy=1e-6)
+        for seed in range(5):
+            est = cdf(q, seed=seed)
+            assert est.tilted is True
+            assert abs(est.value - truth) <= 1e-3 * truth
+            assert abs(est.value - truth) <= est.err_estimate
+
+    @pytest.mark.parametrize("n", [3, 10, 20, 40])
+    def test_solve_converges_on_orthants(self, rng, n):
+        upper, cov = _random_orthant(rng, n)
+        _, b, chol = mvn_cdf._prioritized_cholesky(upper, cov)
+        tilt, psi = mvn_cdf._minimax_tilt(chol, b)
+        assert math.isfinite(psi)
+        assert tilt[-1] == 0.0 and np.abs(tilt).max() > 0.0
+
+    def test_failed_solve_falls_back_to_the_plain_integrand(self, monkeypatch):
+        q = _query([-2.0] * 4, [0.0] * 4, np.eye(4) + 0.5)
+        tilted = cdf(q, seed=1)
+        monkeypatch.setattr(mvn_cdf, "_TILT_CROSSOVER", 1e300)  # never tilt
+        plain = cdf(q, seed=1)
+        monkeypatch.undo()
+        monkeypatch.setattr(mvn_cdf, "_TILT_NEWTON_STEPS", 1)  # cannot converge
+        fallback = cdf(q, seed=1)
+        assert tilted.tilted is True and plain.tilted is False
+        assert fallback == plain
+        assert abs(tilted.value - plain.value) <= tilted.err_estimate + plain.err_estimate
+
+    @given(st.integers(3, 40), st.floats(0.0, 8.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_extreme_orthants(self, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        upper, cov = _random_orthant(rng, n, scale)
+        _, b, chol = mvn_cdf._prioritized_cholesky(upper, cov)
+        tilt, psi = mvn_cdf._minimax_tilt(chol, b)
+        # the solve converges (exp(psi*) bounds the probability) or falls
+        # back to the plain integrand
+        assert (math.isfinite(psi) and np.isfinite(tilt).all() and tilt[-1] == 0.0
+                or (psi == math.inf and not tilt.any()))
+        q = MvnQuery(upper=upper, mean=np.zeros(n), cov=PdMatrix.from_entries(n, cov),
+                     accuracy=1e-4)
+        est = cdf(q, seed=seed)
+        assert est.method == "qmc_genz"
+        assert est.tilted == (psi <= math.log(1e-4 / mvn_cdf._TILT_CROSSOVER))
+        assert 0.0 <= est.value <= 1.0
+        assert est.value <= min(math.exp(psi), 1.0) + est.err_estimate
+        assert cdf(q, seed=seed) == est
 
 
 class TestQueryValidation:

@@ -43,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .mvn_cdf import MvnEstimate, MvnQuery
-from .mvn_cdf import cdf as _mvn_cdf
+from .mvn_cdf import MvnEstimate, MvnQuery, _cdf, _check_accuracy
 from .pd_matrix import PdMatrix
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -140,10 +139,15 @@ def shared_noise_cov(sigma2: float, v) -> PdMatrix:
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.ndim != 1 or v.size < 1 or not np.all(np.isfinite(v)) or not np.all(v > 0.0):
         raise ValueError("v must be a non-empty vector of positive finite reals")
+    return PdMatrix.from_entries(v.size, _shared_noise_entries(sigma2, v))
+
+
+def _shared_noise_entries(sigma2: float, v: np.ndarray) -> np.ndarray:
     n = v.size
-    entries = np.full((n, n), sigma2)
+    # float, so that an integer sigma2 cannot truncate the diagonal
+    entries = np.full((n, n), float(sigma2))
     np.fill_diagonal(entries, v * v + sigma2)
-    return PdMatrix.from_entries(n, entries)
+    return entries
 
 
 def scalar_mix_query(params: ScalarMixParams, accuracy: float = 1e-6) -> MvnQuery:
@@ -202,13 +206,14 @@ def cdf_product_scalar(params: ScalarMixParams, accuracy: float = 1e-6,
     evaluated) and falls back to the QMC MVN reduction, with ``seed``, only
     when a factor is too steep for the node budget.
     """
-    if not 0.0 < accuracy <= 0.1:
-        raise ValueError(f"accuracy must be in (0, 0.1], got {accuracy!r}")
+    _check_accuracy(accuracy)
     if params.n >= 3:
         est = _one_factor_trapezoid(params, accuracy)
         if est is not None:
             return est
-    return _mvn_cdf(scalar_mix_query(params, accuracy), seed=seed)
+    # the query of scalar_mix_query, whose parts ScalarMixParams has checked
+    return _cdf(np.full(params.n, params.mu) - params.m,
+                _shared_noise_entries(params.sigma2, params.v), accuracy, seed=seed)
 
 
 def cdf_product_vector(params: VectorMixParams, accuracy: float = 1e-6,
@@ -217,8 +222,7 @@ def cdf_product_vector(params: VectorMixParams, accuracy: float = 1e-6,
 
     Evaluates F_N(mu | m, diag(v^2) + Sigma).
     """
-    cov = PdMatrix.from_entries(
-        params.n, params.sigma.entries + np.diag(params.v * params.v)
-    )
-    query = MvnQuery(upper=params.mu, mean=params.m, cov=cov, accuracy=accuracy)
-    return _mvn_cdf(query, seed=seed)
+    _check_accuracy(accuracy)
+    # Sigma + diag(v^2) is symmetric and positive definite once Sigma is
+    return _cdf(params.mu - params.m, params.sigma.entries + np.diag(params.v * params.v),
+                accuracy, seed=seed)

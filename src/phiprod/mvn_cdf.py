@@ -70,6 +70,12 @@ _TILT_TOLERANCE = 1e-9
 _TILT_CROSSOVER = 1e-5
 
 
+def _check_accuracy(accuracy: float) -> None:
+    """The accuracy contract of every public entry point: 0 < accuracy <= 0.1."""
+    if not 0.0 < accuracy <= 0.1:
+        raise ValueError(f"accuracy must be in (0, 0.1], got {accuracy!r}")
+
+
 @dataclass(frozen=True)
 class MvnEstimate:
     """A CDF value with its estimated absolute error and evaluation path.
@@ -128,8 +134,7 @@ class MvnQuery:
             raise ValueError("upper entries must be finite or +inf")
         if not np.isfinite(mean).all():
             raise ValueError("mean entries must be finite")
-        if not 0.0 < self.accuracy <= 0.1:
-            raise ValueError(f"accuracy must be in (0, 0.1], got {self.accuracy!r}")
+        _check_accuracy(self.accuracy)
         if self.max_samples < _N_SHIFTS:
             raise ValueError("max_samples is too small for 12 shifts")
         upper.flags.writeable = False
@@ -378,6 +383,36 @@ def _qmc_cdf(b: np.ndarray, cov: np.ndarray, labels: np.ndarray, accuracy: float
                        tilted=tilted)
 
 
+def _cdf(b: np.ndarray, cov: np.ndarray, accuracy: float,
+         max_samples: int = _DEFAULT_MAX_SAMPLES, seed: int = 0,
+         method: str = "auto") -> MvnEstimate:
+    """P(X <= b), X ~ N(0, cov), on inputs the caller has already checked.
+
+    ``b`` holds finite entries or +inf, ``cov`` is symmetric and positive
+    definite, and ``accuracy`` and ``max_samples`` meet the :class:`MvnQuery`
+    contract. The public :func:`cdf` checks a query once, and the library's
+    own callers pass limits and covariances that are valid by construction.
+    The QMC path still applies the pivot rule, and the bivariate path still
+    rejects |rho| too close to 1.
+    """
+    active = np.flatnonzero(np.isfinite(b))
+    if active.size == 0:
+        return MvnEstimate(1.0, 0.0, "univariate")
+    n = active.size
+    if n < b.shape[0]:
+        b = b[active]
+        cov = cov[active][:, active]
+    if method == "auto" and n == 1:
+        return MvnEstimate(_scalar_cdf(b[0] / math.sqrt(cov[0, 0])), 0.0, "univariate")
+    if method == "auto" and n == 2:
+        s1 = math.sqrt(cov[0, 0])
+        s2 = math.sqrt(cov[1, 1])
+        rho = cov[0, 1] / (s1 * s2)
+        value = bivariate_cdf(b[0] / s1, b[1] / s2, rho)
+        return MvnEstimate(value, 0.0, "bivariate_owen")
+    return _qmc_cdf(b, cov, active, accuracy, max_samples, seed)
+
+
 def cdf(query: MvnQuery, seed: int = 0, method: str = "auto") -> MvnEstimate:
     """Evaluate P(Z <= upper), Z ~ N(mean, cov).
 
@@ -388,21 +423,5 @@ def cdf(query: MvnQuery, seed: int = 0, method: str = "auto") -> MvnEstimate:
     """
     if method not in ("auto", "qmc"):
         raise ValueError(f"method must be 'auto' or 'qmc', got {method!r}")
-    active = np.flatnonzero(np.isfinite(query.upper))
-    if active.size == 0:
-        return MvnEstimate(1.0, 0.0, "univariate")
-    n = active.size
-    b = query.upper - query.mean
-    cov = query.cov.entries
-    if n < query.dim:
-        b = b[active]
-        cov = cov[np.ix_(active, active)]
-    if method == "auto" and n == 1:
-        return MvnEstimate(_scalar_cdf(b[0] / math.sqrt(cov[0, 0])), 0.0, "univariate")
-    if method == "auto" and n == 2:
-        s1 = math.sqrt(cov[0, 0])
-        s2 = math.sqrt(cov[1, 1])
-        rho = cov[0, 1] / (s1 * s2)
-        value = bivariate_cdf(b[0] / s1, b[1] / s2, rho)
-        return MvnEstimate(value, 0.0, "bivariate_owen")
-    return _qmc_cdf(b, cov, active, query.accuracy, query.max_samples, seed)
+    return _cdf(query.upper - query.mean, query.cov.entries, query.accuracy,
+                query.max_samples, seed, method)

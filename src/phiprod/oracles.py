@@ -41,7 +41,8 @@ __all__ = [
     "bivariate_cdf_quad",
 ]
 
-_MC_CHUNK = 1 << 19
+# draws per Monte Carlo chunk; a chunk's arrays stay cache-sized
+_MC_CHUNK = 1 << 16
 _SQRT_PI = math.sqrt(math.pi)
 _INV_2PI = 1.0 / (2.0 * math.pi)
 _MIN_QUAD_TOL = 1e-13
@@ -154,14 +155,20 @@ def cdf_product_vector_mc(params: VectorMixParams, draws: int = 1_000_000,
     if draws < 10_000:
         raise ValueError(f"draws must be >= 1e4, got {draws!r}")
     rng = np.random.default_rng(seed % (1 << 63))
-    chol_t = params.sigma.chol.T
+    # row r of scaled @ z.T + offset is (x_r - m_r) / v_r for x = mu + L z
+    scaled = params.sigma.chol / params.v[:, None]
+    offset = ((params.mu - params.m) / params.v)[:, None]
     total = 0.0
     total_sq = 0.0
     remaining = draws
     while remaining > 0:
         block = min(remaining, _MC_CHUNK)
-        x = params.mu + rng.standard_normal((block, params.n)) @ chol_t
-        t = np.prod(ndtr((x - params.m) / params.v), axis=1)
+        factors = scaled @ rng.standard_normal((block, params.n)).T
+        factors += offset
+        ndtr(factors, out=factors)
+        t = factors[0]
+        for row in factors[1:]:
+            t *= row
         total += float(t.sum())
         total_sq += float((t * t).sum())
         remaining -= block

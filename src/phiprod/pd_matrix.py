@@ -74,16 +74,24 @@ def _pivot_root(index: int, pivot: float, threshold: float) -> float:
 def _cholesky_lower(entries: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor by LAPACK potrf, with the scale-aware pivot check.
 
-    A pivot potrf accepted is flagged when diag(L)^2 is not above the
-    threshold. A flagged pivot is recomputed as a_jj - L_j,:j . L_j,:j from
-    the rows potrf finished before it, and that one number both decides and
-    is reported, since diag(L)^2 can round to the other side of the
-    threshold. The pivot potrf stopped at, if any, fails outright: potrf
-    found it <= 0, and the recomputation differs from that only by rounding
-    of order dim * eps * a_jj, far below the threshold.
+    When potrf succeeds and min(diag L)^2 is above the threshold, so is every
+    diag(L)^2, and the factor is returned at once. Otherwise a pivot potrf
+    accepted is flagged when diag(L)^2 is not above the threshold. A flagged
+    pivot is recomputed as a_jj - L_j,:j . L_j,:j from the rows potrf
+    finished before it, and that one number both decides and is reported,
+    since diag(L)^2 can round to the other side of the threshold. The pivot
+    potrf stopped at, if any, fails outright: potrf found it <= 0, and the
+    recomputation differs from that only by rounding of order dim * eps *
+    a_jj, far below the threshold.
     """
     threshold = _pivot_threshold(entries)
     chol, info = dpotrf(entries, lower=1)
+    if info == 0:
+        # potrf can report success on a nan pivot; numpy's min propagates
+        # the nan, which sends the factor on to the check below
+        smallest = float(chol.diagonal().min())
+        if smallest * smallest > threshold:
+            return chol
     accepted = entries.shape[0] if info == 0 else info - 1
     diag = chol.diagonal()[:accepted]
     suspects = np.flatnonzero(~(diag * diag > threshold)).tolist()

@@ -19,7 +19,7 @@ from . import oracles, pd_matrix
 from .gauss_scalar import cdf, inv_cdf, owen_t, phi
 from .identities import ScalarMixParams, VectorMixParams, cdf_product_scalar, \
     cdf_product_vector, scalar_mix_query, shared_noise_cov
-from .mvn_cdf import MvnQuery, cdf as mvn_cdf_eval
+from .mvn_cdf import MvnQuery, _check_accuracy, cdf as mvn_cdf_eval
 from .pd_matrix import PdMatrix
 from .probit_bernoulli import ProbitBernoulli, SignVector
 
@@ -399,8 +399,7 @@ def run_suites(names, trials: int = 100, seed: int = 0, accuracy: float = 1e-5,
     """Run the named suites ('all' expands to every suite) and collect results."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
-    if not 0.0 < accuracy <= 0.1:
-        raise ValueError(f"accuracy must be in (0, 0.1], got {accuracy!r}")
+    _check_accuracy(accuracy)
     expanded: list[str] = []
     for name in names:
         if name == "all":

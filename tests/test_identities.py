@@ -14,6 +14,7 @@ from phiprod.identities import (
     scalar_mix_query,
     shared_noise_cov,
 )
+from phiprod.mvn_cdf import MvnQuery
 from phiprod.mvn_cdf import cdf as mvn_cdf
 from phiprod.pd_matrix import PdMatrix
 from phiprod.verify import _random_pd
@@ -41,6 +42,13 @@ class TestSharedNoiseCov:
     def test_domain(self, sigma2, v):
         with pytest.raises(ValueError):
             shared_noise_cov(sigma2, v)
+
+    def test_integer_sigma2_keeps_the_diagonal(self):
+        assert np.array_equal(shared_noise_cov(2, [0.5, 1.5]).entries,
+                              [[2.25, 2.0], [2.0, 4.25]])
+        params = dict(mu=0.3, m=[-0.2, 0.4], v=[0.5, 1.5])
+        assert (cdf_product_scalar(ScalarMixParams(sigma2=2, **params))
+                == cdf_product_scalar(ScalarMixParams(sigma2=2.0, **params)))
 
 
 class TestScalarMix:
@@ -242,6 +250,23 @@ class TestVectorMix:
             mc, se = oracles.cdf_product_vector_mc(params, draws=1_000_000, seed=100 + i)
             combined = math.sqrt(se * se + (est.err_estimate / 3.0) ** 2)
             assert abs(est.value - mc) <= 3.0 * combined
+
+    def test_equals_the_query_built_by_hand(self, rng):
+        # the query built by hand runs every MvnQuery and from_entries check;
+        # MvnEstimate equality compares every field
+        for n in range(1, 7):
+            for i in range(3):
+                params = VectorMixParams(
+                    mu=rng.uniform(-2, 2, size=n),
+                    sigma=_random_pd(rng, n),
+                    m=rng.uniform(-2, 2, size=n),
+                    v=rng.uniform(0.3, 2.0, size=n),
+                )
+                cov = PdMatrix.from_entries(
+                    n, params.sigma.entries + np.diag(params.v * params.v))
+                ref = mvn_cdf(MvnQuery(upper=params.mu, mean=params.m, cov=cov,
+                                       accuracy=1e-5), seed=i)
+                assert cdf_product_vector(params, accuracy=1e-5, seed=i) == ref
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,10 @@ from phiprod import mvn_cdf, oracles
 from phiprod.gauss_scalar import cdf as scalar_cdf
 from phiprod.mvn_cdf import MvnEstimate, MvnQuery, bivariate_cdf, cdf
 from phiprod.pd_matrix import NotPositiveDefiniteError, PdMatrix, _cholesky_lower
-from phiprod.verify import _random_pd
+from phiprod.identities import (ScalarMixParams, VectorMixParams, cdf_product_scalar,
+                                cdf_product_vector)
+from phiprod.probit_bernoulli import ProbitBernoulli, SignVector
+from phiprod.verify import _random_pd, run_suites
 
 
 HONESTY_REFERENCE = Path(__file__).parent / "data" / "honesty_reference.json"
@@ -108,6 +111,42 @@ class TestExactPaths:
     def test_all_infinite_upper_is_one(self):
         est = cdf(_query([math.inf, math.inf], [0.0, 0.0], np.eye(2)))
         assert est.value == 1.0
+
+
+@st.composite
+def _mixed_infinite_limits(draw):
+    """(n, mask of +inf limits, seed): a proper subset of the n limits is +inf."""
+    n = draw(st.integers(2, 8))
+    bits = draw(st.integers(0, (1 << n) - 2))
+    return n, np.array([(bits >> j) & 1 for j in range(n)], dtype=bool), draw(
+        st.integers(0, 2**32 - 1))
+
+
+class TestInfiniteLimits:
+    @given(_mixed_infinite_limits(), st.sampled_from([1e-4, 1e-3, 1e-2]),
+           st.sampled_from(["auto", "qmc"]))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_to_the_reduced_query(self, case, accuracy, method):
+        n, infinite, seed = case
+        rng = np.random.default_rng(seed)
+        cov = _random_pd(rng, n)
+        upper = rng.uniform(-1.5, 1.5, n)
+        mean = rng.uniform(-1.0, 1.0, n)
+        upper[infinite] = math.inf
+        active = np.flatnonzero(~infinite)
+        est = cdf(MvnQuery(upper=upper, mean=mean, cov=cov, accuracy=accuracy),
+                  seed=seed, method=method)
+        reduced = cdf(MvnQuery(
+            upper=upper[active], mean=mean[active],
+            cov=PdMatrix.from_entries(active.size, cov.entries[np.ix_(active, active)]),
+            accuracy=accuracy), seed=seed, method=method)
+        fields = ("value", "err_estimate", "n_points", "method", "converged", "tilted")
+        assert [getattr(est, f) for f in fields] == [getattr(reduced, f) for f in fields]
+        assert est.order == tuple(active[list(reduced.order)].tolist())
+        everything = cdf(MvnQuery(upper=np.full(n, math.inf), mean=mean, cov=cov,
+                                  accuracy=accuracy), seed=seed, method=method)
+        assert (everything.value, everything.err_estimate, everything.method) == (
+            1.0, 0.0, "univariate")
 
 
 class TestBivariate:
@@ -460,6 +499,23 @@ class TestQueryValidation:
     def test_accuracy_domain(self, accuracy):
         with pytest.raises(ValueError):
             _query([0.0], [0.0], [[1.0]], accuracy=accuracy)
+
+    @pytest.mark.parametrize("accuracy", [0.0, 0.2, math.nan])
+    @pytest.mark.parametrize("entry", ["MvnQuery", "pmf", "cdf_product_scalar",
+                                       "cdf_product_vector", "run_suites"])
+    def test_every_entry_point_checks_accuracy(self, entry, accuracy):
+        one = PdMatrix.from_entries(1, [[1.0]])
+        calls = {
+            "MvnQuery": lambda: MvnQuery([0.0], [0.0], one, accuracy=accuracy),
+            "pmf": lambda: ProbitBernoulli([0.0], one).pmf(SignVector((1,)), accuracy),
+            "cdf_product_scalar": lambda: cdf_product_scalar(
+                ScalarMixParams(0.0, 1.0, [0.0, 0.1], [1.0, 1.0]), accuracy),
+            "cdf_product_vector": lambda: cdf_product_vector(
+                VectorMixParams([0.0], one, [0.0], [1.0]), accuracy),
+            "run_suites": lambda: run_suites(["scalar"], trials=1, accuracy=accuracy),
+        }
+        with pytest.raises(ValueError, match=r"accuracy must be in \(0, 0\.1\]"):
+            calls[entry]()
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

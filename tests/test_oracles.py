@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import kstest
 
 from phiprod import oracles
@@ -118,6 +119,34 @@ class TestVectorMonteCarloOracle:
             a, sa = oracles.cdf_product_vector_mc(params, draws=100_000, seed=2 * i)
             b, sb = oracles.cdf_product_vector_mc(params, draws=100_000, seed=2 * i + 1)
             assert abs(a - b) <= 6.0 * math.sqrt(sa * sa + sb * sb)
+
+    def test_matches_the_row_major_loop(self, rng):
+        # reference: x = mu + z L^T row by row, the product over each row,
+        # 2^19 draws per chunk. Same draws; only the rounding of the
+        # standardization and of the sums differs.
+        def row_major(params, draws, seed):
+            gen = np.random.default_rng(seed)
+            total = total_sq = 0.0
+            remaining = draws
+            while remaining > 0:
+                block = min(remaining, 1 << 19)
+                x = params.mu + gen.standard_normal((block, params.n)) @ params.sigma.chol.T
+                t = np.prod(ndtr((x - params.m) / params.v), axis=1)
+                total += float(t.sum())
+                total_sq += float((t * t).sum())
+                remaining -= block
+            mean = total / draws
+            var = max(total_sq / draws - mean * mean, 0.0) * draws / (draws - 1)
+            return mean, math.sqrt(var / draws)
+
+        for i in range(8):
+            n = i % 4 + 1
+            params = VectorMixParams(mu=rng.uniform(-2, 2, n), sigma=_random_pd(rng, n),
+                                     m=rng.uniform(-2, 2, n), v=rng.uniform(0.3, 2, n))
+            est, se = oracles.cdf_product_vector_mc(params, draws=300_000, seed=i)
+            ref, ref_se = row_major(params, 300_000, i)
+            assert abs(est - ref) <= 1e-15
+            assert abs(se - ref_se) <= 1e-15
 
     def test_draw_minimum(self, rng):
         params = VectorMixParams(mu=[0.0], sigma=PdMatrix.from_entries(1, [[1.0]]),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from phiprod.pd_matrix import (
     InternalConsistencyError,
@@ -171,6 +172,32 @@ class TestFactorizationContract:
         assert info.value.pivot_index == 1
         assert info.value.pivot == t
         assert info.value.threshold == threshold
+
+
+    def test_small_pivot_after_a_successful_potrf(self):
+        # potrf factors the whole matrix, but pivot 2 is about 1e-14, below
+        # the threshold 3e-12: the fast accept must not take it, and
+        # the pivot is recomputed from the rows potrf finished before it
+        lower = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.3, 0.2, 1e-7]])
+        entries = lower @ lower.T
+        chol, info = dpotrf(entries, lower=1)
+        assert info == 0
+        threshold = 3 * 1e-12 * float(np.max(np.diagonal(entries)))
+        with pytest.raises(NotPositiveDefiniteError) as caught:
+            PdMatrix(entries)
+        assert caught.value.pivot_index == 2
+        assert caught.value.pivot == float(entries[2, 2] - chol[2, :2] @ chol[2, :2])
+        assert caught.value.pivot <= threshold
+        assert caught.value.threshold == threshold
+
+    def test_nan_pivot_after_a_successful_potrf(self):
+        # potrf reports success on a nan pivot; the constructor, which skips
+        # from_entries' finiteness check, must still reject it
+        entries = np.array([[1.0, math.nan], [math.nan, 1.0]])
+        assert dpotrf(entries, lower=1)[1] == 0
+        with pytest.raises(NotPositiveDefiniteError) as caught:
+            PdMatrix(entries)
+        assert caught.value.pivot_index == 1
 
 
 class TestPrecisionBlocks:

@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .mvn_cdf import MvnEstimate, MvnQuery, _cdf, _check_accuracy
+from .mvn_cdf import MvnEstimate, MvnQuery, _check_accuracy
+from .mvn_cdf import cdf as _mvn_cdf
 from .pd_matrix import PdMatrix
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -139,15 +140,11 @@ def shared_noise_cov(sigma2: float, v) -> PdMatrix:
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.ndim != 1 or v.size < 1 or not np.all(np.isfinite(v)) or not np.all(v > 0.0):
         raise ValueError("v must be a non-empty vector of positive finite reals")
-    return PdMatrix.from_entries(v.size, _shared_noise_entries(sigma2, v))
-
-
-def _shared_noise_entries(sigma2: float, v: np.ndarray) -> np.ndarray:
     n = v.size
     # float, so that an integer sigma2 cannot truncate the diagonal
     entries = np.full((n, n), float(sigma2))
     np.fill_diagonal(entries, v * v + sigma2)
-    return entries
+    return PdMatrix.from_entries(n, entries)
 
 
 def scalar_mix_query(params: ScalarMixParams, accuracy: float = 1e-6) -> MvnQuery:
@@ -211,9 +208,7 @@ def cdf_product_scalar(params: ScalarMixParams, accuracy: float = 1e-6,
         est = _one_factor_trapezoid(params, accuracy)
         if est is not None:
             return est
-    # the query of scalar_mix_query, whose parts ScalarMixParams has checked
-    return _cdf(np.full(params.n, params.mu) - params.m,
-                _shared_noise_entries(params.sigma2, params.v), accuracy, seed=seed)
+    return _mvn_cdf(scalar_mix_query(params, accuracy), seed=seed)
 
 
 def cdf_product_vector(params: VectorMixParams, accuracy: float = 1e-6,
@@ -222,7 +217,8 @@ def cdf_product_vector(params: VectorMixParams, accuracy: float = 1e-6,
 
     Evaluates F_N(mu | m, diag(v^2) + Sigma).
     """
-    _check_accuracy(accuracy)
-    # Sigma + diag(v^2) is symmetric and positive definite once Sigma is
-    return _cdf(params.mu - params.m, params.sigma.entries + np.diag(params.v * params.v),
-                accuracy, seed=seed)
+    cov = PdMatrix.from_entries(
+        params.n, params.sigma.entries + np.diag(params.v * params.v)
+    )
+    query = MvnQuery(upper=params.mu, mean=params.m, cov=cov, accuracy=accuracy)
+    return _mvn_cdf(query, seed=seed)

@@ -130,7 +130,8 @@ class MvnQuery:
                 f"upper/mean must have shape ({n},) matching cov, got "
                 f"{upper.shape} and {mean.shape}"
             )
-        if np.isnan(upper).any() or (upper == -math.inf).any():
+        # nan and -inf are the entries that are not above -inf
+        if not (upper > -math.inf).all():
             raise ValueError("upper entries must be finite or +inf")
         if not np.isfinite(mean).all():
             raise ValueError("mean entries must be finite")
@@ -383,36 +384,6 @@ def _qmc_cdf(b: np.ndarray, cov: np.ndarray, labels: np.ndarray, accuracy: float
                        tilted=tilted)
 
 
-def _cdf(b: np.ndarray, cov: np.ndarray, accuracy: float,
-         max_samples: int = _DEFAULT_MAX_SAMPLES, seed: int = 0,
-         method: str = "auto") -> MvnEstimate:
-    """P(X <= b), X ~ N(0, cov), on inputs the caller has already checked.
-
-    ``b`` holds finite entries or +inf, ``cov`` is symmetric and positive
-    definite, and ``accuracy`` and ``max_samples`` meet the :class:`MvnQuery`
-    contract. The public :func:`cdf` checks a query once, and the library's
-    own callers pass limits and covariances that are valid by construction.
-    The QMC path still applies the pivot rule, and the bivariate path still
-    rejects |rho| too close to 1.
-    """
-    active = np.flatnonzero(np.isfinite(b))
-    if active.size == 0:
-        return MvnEstimate(1.0, 0.0, "univariate")
-    n = active.size
-    if n < b.shape[0]:
-        b = b[active]
-        cov = cov[active][:, active]
-    if method == "auto" and n == 1:
-        return MvnEstimate(_scalar_cdf(b[0] / math.sqrt(cov[0, 0])), 0.0, "univariate")
-    if method == "auto" and n == 2:
-        s1 = math.sqrt(cov[0, 0])
-        s2 = math.sqrt(cov[1, 1])
-        rho = cov[0, 1] / (s1 * s2)
-        value = bivariate_cdf(b[0] / s1, b[1] / s2, rho)
-        return MvnEstimate(value, 0.0, "bivariate_owen")
-    return _qmc_cdf(b, cov, active, accuracy, max_samples, seed)
-
-
 def cdf(query: MvnQuery, seed: int = 0, method: str = "auto") -> MvnEstimate:
     """Evaluate P(Z <= upper), Z ~ N(mean, cov).
 
@@ -423,5 +394,21 @@ def cdf(query: MvnQuery, seed: int = 0, method: str = "auto") -> MvnEstimate:
     """
     if method not in ("auto", "qmc"):
         raise ValueError(f"method must be 'auto' or 'qmc', got {method!r}")
-    return _cdf(query.upper - query.mean, query.cov.entries, query.accuracy,
-                query.max_samples, seed, method)
+    active = np.flatnonzero(np.isfinite(query.upper))
+    if active.size == 0:
+        return MvnEstimate(1.0, 0.0, "univariate")
+    n = active.size
+    b = query.upper - query.mean
+    cov = query.cov.entries
+    if n < query.dim:
+        b = b[active]
+        cov = cov[np.ix_(active, active)]
+    if method == "auto" and n == 1:
+        return MvnEstimate(_scalar_cdf(b[0] / math.sqrt(cov[0, 0])), 0.0, "univariate")
+    if method == "auto" and n == 2:
+        s1 = math.sqrt(cov[0, 0])
+        s2 = math.sqrt(cov[1, 1])
+        rho = cov[0, 1] / (s1 * s2)
+        value = bivariate_cdf(b[0] / s1, b[1] / s2, rho)
+        return MvnEstimate(value, 0.0, "bivariate_owen")
+    return _qmc_cdf(b, cov, active, query.accuracy, query.max_samples, seed)

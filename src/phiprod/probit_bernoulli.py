@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauss_scalar import cdf as _scalar_cdf
-from .mvn_cdf import MvnEstimate, _cdf, _check_accuracy
+from .mvn_cdf import MvnEstimate, MvnQuery
+from .mvn_cdf import cdf as _mvn_cdf
 from .pd_matrix import PdMatrix
 
 __all__ = ["SignVector", "ProbitBernoulli"]
@@ -84,15 +85,18 @@ class ProbitBernoulli:
     def sigma(self) -> PdMatrix:
         return self._sigma
 
-    def pmf(self, y: SignVector, accuracy: float = 1e-6, seed: int = 0) -> MvnEstimate:
-        """P(Y = y) as an MVN CDF evaluation, with its error estimate."""
-        _check_accuracy(accuracy)
+    def _query(self, y: SignVector, accuracy: float) -> MvnQuery:
         ys = y.as_array()
         if ys.shape != (self.dim,):
             raise ValueError(f"sign vector has length {len(y)}, expected {self.dim}")
-        # I + D_y Sigma D_y is symmetric and positive definite once Sigma is
-        cov = np.eye(self.dim) + self._sigma.entries * (ys[:, None] * ys)
-        return _cdf(ys * self._mu, cov, accuracy, seed=seed)
+        # I + D_y Sigma D_y is symmetric and finite by construction
+        cov = PdMatrix(np.eye(self.dim) + self._sigma.entries * (ys[:, None] * ys))
+        return MvnQuery(upper=ys * self._mu, mean=np.zeros(self.dim), cov=cov,
+                        accuracy=accuracy)
+
+    def pmf(self, y: SignVector, accuracy: float = 1e-6, seed: int = 0) -> MvnEstimate:
+        """P(Y = y) as an MVN CDF evaluation, with its error estimate."""
+        return _mvn_cdf(self._query(y, accuracy), seed=seed)
 
     def log_pmf(self, y: SignVector, accuracy: float = 1e-6, seed: int = 0) -> float:
         """log P(Y = y); -inf when the pmf estimate underflows to zero."""
@@ -152,13 +156,8 @@ class ProbitBernoulli:
         if idx[0] < 0 or idx[-1] >= self.dim:
             raise ValueError(f"keep indices must lie in [0, {self.dim})")
         cols = np.array(idx)
-        # mu and Sigma passed __init__'s checks, and their restrictions keep them
-        marginal = ProbitBernoulli.__new__(ProbitBernoulli)
-        mu = self._mu[cols]
-        mu.flags.writeable = False
-        marginal._mu = mu
-        marginal._sigma = PdMatrix(self._sigma.entries.take(cols, 0).take(cols, 1))
-        return marginal
+        sub = PdMatrix(self._sigma.entries.take(cols, 0).take(cols, 1))
+        return ProbitBernoulli(self._mu[cols], sub)
 
     def __repr__(self) -> str:
         return f"ProbitBernoulli(dim={self.dim})"

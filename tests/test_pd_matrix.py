@@ -173,7 +173,6 @@ class TestFactorizationContract:
         assert info.value.pivot == t
         assert info.value.threshold == threshold
 
-
     def test_small_pivot_after_a_successful_potrf(self):
         # potrf factors the whole matrix, but pivot 2 is about 1e-14, below
         # the threshold 3e-12: the fast accept must not take it, and

@@ -104,27 +104,45 @@ class TestPmf:
                                                              y.flipped())):
                 assert abs(d.pmf(signs, accuracy=1e-5, seed=i).value - ref) <= 2e-5
 
-    def test_pmf_equals_the_query_built_by_hand(self, rng):
-        # pmf evaluates (D_y mu, I + D_y Sigma D_y) without building a query;
-        # the query built by hand runs every MvnQuery and from_entries check.
+    def test_query_matches_query_built_by_hand(self, rng):
+        # _query builds its PdMatrix without the from_entries checks; the
+        # query built by hand runs them
+        for n in range(1, 6):
+            for _ in range(2):
+                mu = rng.uniform(-1.5, 1.5, size=n)
+                sig = _random_pd(rng, n)
+                d = ProbitBernoulli(mu, sig)
+                for s, y in enumerate(d.support()):
+                    ys = y.as_array()
+                    entries = np.eye(n) + sig.entries * np.outer(ys, ys)
+                    cov = d._query(y, 1e-5).cov
+                    assert np.array_equal(cov.entries, entries)
+                    by_hand = PdMatrix.from_entries(n, entries)
+                    assert np.array_equal(cov.chol, by_hand.chol)
+                    ref = mvn_cdf(MvnQuery(upper=ys * mu, mean=np.zeros(n), cov=by_hand,
+                                           accuracy=1e-5), seed=s)
+                    assert d.pmf(y, accuracy=1e-5, seed=s) == ref
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_pmf_matches_query_built_by_hand_on_the_qmc_path(self, n):
         # MvnEstimate equality compares every field: value, err_estimate,
-        # method, n_points, converged, order and tilted.
-        for n in range(1, 9):
-            mu = rng.uniform(-1.5, 1.5, size=n)
-            sig = _random_pd(rng, n)
-            d = ProbitBernoulli(mu, sig)
-            support = list(d.support())
-            if n > 4:
-                support = [support[k] for k in rng.choice(len(support), 6, replace=False)]
-            for s, y in enumerate(support):
-                ys = y.as_array()
-                cov = PdMatrix.from_entries(n, np.eye(n) + sig.entries * np.outer(ys, ys))
-                ref = mvn_cdf(MvnQuery(upper=ys * mu, mean=np.zeros(n), cov=cov,
-                                       accuracy=1e-5), seed=s)
-                assert d.pmf(y, accuracy=1e-5, seed=s) == ref
+        # method, n_points, converged, order and tilted
+        rng = np.random.default_rng(n)
+        mu = rng.uniform(-1.5, 1.5, size=n)
+        sig = _random_pd(rng, n)
+        d = ProbitBernoulli(mu, sig)
+        for s in range(6):
+            y = SignVector(tuple(rng.choice([-1, 1], size=n).tolist()))
+            ys = y.as_array()
+            cov = PdMatrix.from_entries(n, np.eye(n) + sig.entries * np.outer(ys, ys))
+            ref = mvn_cdf(MvnQuery(upper=ys * mu, mean=np.zeros(n), cov=cov,
+                                   accuracy=1e-5), seed=s)
+            assert d.pmf(y, accuracy=1e-5, seed=s) == ref
 
     @pytest.mark.parametrize("n", [2, 5])
-    def test_pmf_factors_nothing_and_marginalize_once(self, monkeypatch, rng, n):
+    def test_pmf_and_marginalize_factor_once_each(self, monkeypatch, rng, n):
+        # marginalize factors Sigma[keep, keep], which sample reads; pmf
+        # factors only the query's I + D_y Sigma D_y
         calls = []
 
         def counting_dpotrf(*args, **kwargs):
@@ -136,7 +154,7 @@ class TestPmf:
         marginal = d.marginalize(range(n))
         assert len(calls) == 1
         marginal.pmf(SignVector((1, -1) * (n // 2) + (1,) * (n % 2)), accuracy=1e-3)
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     def test_wrong_length_sign_vector(self, sign_fixture):
         d = ProbitBernoulli(*sign_fixture)

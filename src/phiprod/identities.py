@@ -67,8 +67,8 @@ __all__ = [
 
 
 def _check_m_v(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    m = np.atleast_1d(np.array(m, dtype=float))
+    v = np.atleast_1d(np.array(v, dtype=float))
     if m.ndim != 1 or v.shape != m.shape or m.size < 1:
         raise ValueError("m and v must be 1-d vectors of equal positive length")
     if not np.all(np.isfinite(m)):
@@ -113,7 +113,7 @@ class VectorMixParams:
     v: np.ndarray
 
     def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
+        mu = np.atleast_1d(np.array(self.mu, dtype=float))
         m, v = _check_m_v(self.m, self.v)
         if mu.shape != m.shape or self.sigma.dim != m.size:
             raise ValueError("mu, m, v and sigma dimensions must agree")

@@ -122,8 +122,8 @@ class MvnQuery:
     max_samples: int = _DEFAULT_MAX_SAMPLES
 
     def __post_init__(self):
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        upper = np.atleast_1d(np.array(self.upper, dtype=float))
+        mean = np.atleast_1d(np.array(self.mean, dtype=float))
         n = self.cov.dim
         if upper.shape != (n,) or mean.shape != (n,):
             raise ValueError(
@@ -389,8 +389,9 @@ def cdf(query: MvnQuery, seed: int = 0, method: str = "auto") -> MvnEstimate:
 
     ``method="auto"`` routes N=1 and N=2 through the exact paths and
     N >= 3 through randomized-lattice QMC; ``method="qmc"`` forces the QMC
-    path regardless of dimension (used by cross-validation suites). The
-    result is deterministic given (query, seed).
+    path regardless of dimension; only the tests use it, to check the
+    lattice against the exact N <= 2 paths. The result is deterministic
+    given (query, seed).
     """
     if method not in ("auto", "qmc"):
         raise ValueError(f"method must be 'auto' or 'qmc', got {method!r}")

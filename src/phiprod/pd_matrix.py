@@ -202,8 +202,8 @@ class PrecisionBlocks:
     d_diag: np.ndarray
 
     def __post_init__(self):
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        d = np.atleast_1d(np.asarray(self.d_diag, dtype=float))
+        b = np.atleast_1d(np.array(self.b, dtype=float))
+        d = np.atleast_1d(np.array(self.d_diag, dtype=float))
         if b.ndim != 1 or d.shape != b.shape:
             raise ValueError("b and d_diag must be 1-d with matching length")
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(d)) and math.isfinite(self.a)):

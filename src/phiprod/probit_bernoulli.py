@@ -62,7 +62,7 @@ class ProbitBernoulli:
     """Sign-vector distribution induced by probit trials on a latent Gaussian."""
 
     def __init__(self, mu, sigma: PdMatrix):
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
+        mu = np.atleast_1d(np.array(mu, dtype=float))
         if mu.shape != (sigma.dim,):
             raise ValueError(
                 f"mu has shape {mu.shape}, expected ({sigma.dim},) to match sigma"

@@ -131,9 +131,9 @@ def _suite_matrix(trials: int, seed: int, accuracy: float, perturb: float):
         sigma2 = float(rng.uniform(0.3, 2.0)) ** 2
         v = rng.uniform(0.3, 2.0, size=n)
         blocks = pd_matrix.precision_blocks_from_variances(sigma2, v)
-        cov = pd_matrix.partitioned_inverse_check(blocks)
+        cov = pd_matrix.partitioned_inverse_check(blocks).entries + perturb
         resid = np.linalg.norm(
-            cov.entries @ pd_matrix.assemble_precision(blocks) - np.eye(n + 1))
+            cov @ pd_matrix.assemble_precision(blocks) - np.eye(n + 1))
         worst = max(worst, resid)
     yield CheckResult("matrix", "partitioned_inverse_identity", worst <= 1e-10,
                       f"max Frobenius residual = {worst:.3g}")

@@ -232,11 +232,23 @@ class TestVerifyCommand:
         assert min(elapsed) >= 0.0
         assert sum(elapsed) <= wall
 
-    def test_owen_t_perturbation_fails(self, capsys):
-        code = main(["verify", "--suite", "scalar", "--perturb", "1e-9"])
+    # every check that an acceptance criterion reads, with a bias past its
+    # tolerance at one trial
+    @pytest.mark.parametrize("suite, check, perturb", [
+        pytest.param(suite, check, perturb, id=check) for suite, check, perturb in [
+            ("scalar", "owen_t_vs_quadrature", 1e-9),
+            ("matrix", "bordered_determinant_identity", 1e-3),
+            ("matrix", "partitioned_inverse_identity", 1e-3),
+            ("identity-scalar", "closed_form_vs_gauss_hermite", 1e-3),
+            ("identity-vector", "closed_form_vs_monte_carlo", 1e-2),
+            ("bernoulli", "pmf_normalization", 1e-2),
+        ]])
+    def test_reused_check_fails_under_perturbation(self, capsys, suite, check, perturb):
+        code = main(["verify", "--suite", suite, "--trials", "1",
+                     "--perturb", str(perturb)])
         out = capsys.readouterr().out
         assert code == 1
-        assert "FAIL  scalar/owen_t_vs_quadrature" in out
+        assert f"FAIL  {suite}/{check}" in out
 
 
 class TestTableCommand:

@@ -13,7 +13,8 @@ from scipy.stats import multivariate_normal
 from phiprod import mvn_cdf, oracles
 from phiprod.gauss_scalar import cdf as scalar_cdf
 from phiprod.mvn_cdf import MvnEstimate, MvnQuery, bivariate_cdf, cdf
-from phiprod.pd_matrix import NotPositiveDefiniteError, PdMatrix, _cholesky_lower
+from phiprod.pd_matrix import NotPositiveDefiniteError, PdMatrix, PrecisionBlocks, \
+    _cholesky_lower
 from phiprod.identities import (ScalarMixParams, VectorMixParams, cdf_product_scalar,
                                 cdf_product_vector)
 from phiprod.probit_bernoulli import ProbitBernoulli, SignVector
@@ -516,6 +517,30 @@ class TestQueryValidation:
         }
         with pytest.raises(ValueError, match=r"accuracy must be in \(0, 0\.1\]"):
             calls[entry]()
+
+    @pytest.mark.parametrize("entry, field", [
+        ("MvnQuery", "upper"), ("MvnQuery", "mean"), ("ProbitBernoulli", "mu"),
+        ("ScalarMixParams", "m"), ("ScalarMixParams", "v"), ("VectorMixParams", "mu"),
+        ("VectorMixParams", "m"), ("VectorMixParams", "v"), ("PrecisionBlocks", "b"),
+        ("PrecisionBlocks", "d_diag")])
+    def test_constructors_leave_the_callers_array_writeable(self, entry, field):
+        arrays = {name: np.array([0.5, 0.7])
+                  for name in ("upper", "mean", "mu", "m", "v", "b", "d_diag")}
+        two = PdMatrix.from_entries(2, np.eye(2))
+        build = {
+            "MvnQuery": lambda: MvnQuery(arrays["upper"], arrays["mean"], two),
+            "ProbitBernoulli": lambda: ProbitBernoulli(arrays["mu"], two),
+            "ScalarMixParams": lambda: ScalarMixParams(0.0, 1.0, arrays["m"], arrays["v"]),
+            "VectorMixParams": lambda: VectorMixParams(arrays["mu"], two, arrays["m"],
+                                                       arrays["v"]),
+            "PrecisionBlocks": lambda: PrecisionBlocks(2.0, arrays["b"], arrays["d_diag"]),
+        }
+        held = getattr(build[entry](), field)
+        theirs = arrays[field]
+        assert theirs.flags.writeable
+        theirs[0] = 9.0
+        assert held.tolist() == [0.5, 0.7]
+        assert not held.flags.writeable
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -16,8 +16,6 @@ import math
 import sys
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr
 
 from . import oracles, verify
 from .identities import ScalarMixParams, VectorMixParams, cdf_product_scalar, \
@@ -27,7 +25,6 @@ from .pd_matrix import InternalConsistencyError, PdMatrix
 from .probit_bernoulli import ProbitBernoulli, SignVector
 
 _FMT = "%.17g"
-_QUAD_HALF_WIDTH = 9.0
 
 
 def _fmt(x: float) -> str:
@@ -62,30 +59,6 @@ def _estimate_report(command: str, est: MvnEstimate) -> dict:
             "order": list(est.order), "tilted": est.tilted}
 
 
-def _scalar_quad(params: ScalarMixParams) -> tuple[float, float]:
-    """E_w prod_r Phi((mu - m_r + s w)/v_r), w ~ N(0, 1), by adaptive quadrature.
-
-    Returns (value, certificate): quad's own error estimate plus the mass
-    2 Phi(-9) outside the window [-9, 9]. Factor r rises across
-    w_r = (m_r - mu)/s over a width v_r/s; breakpoints at
-    w_r + {0, +-2, +-8} v_r/s keep quad from stepping over a narrow rise.
-    """
-    s = math.sqrt(params.sigma2)
-
-    def integrand(w):
-        return math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi) * float(
-            np.prod(ndtr((params.mu - params.m + s * w) / params.v)))
-
-    widths = np.array([-8.0, -2.0, 0.0, 2.0, 8.0])
-    points = ((params.m - params.mu) / s)[:, None] + (params.v / s)[:, None] * widths
-    # full_output reports a roundoff stop in abserr instead of a warning
-    value, abserr = integrate.quad(
-        integrand, -_QUAD_HALF_WIDTH, _QUAD_HALF_WIDTH,
-        points=np.unique(np.clip(points, -_QUAD_HALF_WIDTH, _QUAD_HALF_WIDTH)),
-        epsabs=1e-13, epsrel=0.0, limit=5000, full_output=1)[:2]
-    return value, abserr + 2.0 * float(ndtr(-_QUAD_HALF_WIDTH))
-
-
 def cmd_scalar(args) -> int:
     params = ScalarMixParams(mu=args.mu, sigma2=args.sigma2,
                              m=_parse_reals(args.m), v=_parse_reals(args.v))
@@ -93,7 +66,7 @@ def cmd_scalar(args) -> int:
     report = _estimate_report("scalar", est)
     code = 0
     if args.oracle:
-        ref, cert = _scalar_quad(params)
+        ref, cert = oracles.cdf_product_scalar_adaptive(params)
         tolerance = args.accuracy + est.err_estimate + cert
         diff = abs(est.value - ref)
         code = 0 if diff <= tolerance else 1
@@ -222,7 +195,7 @@ def _table_rows(records, seed: int):
                                          m=np.asarray(rec["m"], dtype=float),
                                          v=np.asarray(rec["v"], dtype=float))
                 closed = cdf_product_scalar(params, seed=seed).value
-                oracle = _scalar_quad(params)[0]
+                oracle = oracles.cdf_product_scalar_adaptive(params)[0]
             elif kind == "vector":
                 cov = PdMatrix.from_entries(len(rec["m"]),
                                             np.asarray(rec["cov"], dtype=float))

@@ -44,6 +44,7 @@ before any transform. Results are bit-reproducible for a fixed seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,9 +111,9 @@ class MvnQuery:
 
     upper may contain +inf entries (marginalized exactly); accuracy is the
     target absolute error for the QMC path and must lie in (0, 0.1];
-    max_samples bounds the total number of lattice points the QMC path
-    evaluates across the 12 shifts (each point is evaluated once; one
-    1024-point level per shift is evaluated whatever the budget).
+    max_samples, an integer, bounds the total number of lattice points the
+    QMC path evaluates across the 12 shifts (each point is evaluated once;
+    one 1024-point level per shift is evaluated whatever the budget).
     """
 
     upper: np.ndarray
@@ -136,12 +137,18 @@ class MvnQuery:
         if not np.isfinite(mean).all():
             raise ValueError("mean entries must be finite")
         _check_accuracy(self.accuracy)
-        if self.max_samples < _N_SHIFTS:
+        try:
+            max_samples = operator.index(self.max_samples)
+        except TypeError:
+            raise ValueError(
+                f"max_samples must be an integer, got {self.max_samples!r}") from None
+        if max_samples < _N_SHIFTS:
             raise ValueError("max_samples is too small for 12 shifts")
         upper.flags.writeable = False
         mean.flags.writeable = False
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "max_samples", max_samples)
 
     @property
     def dim(self) -> int:

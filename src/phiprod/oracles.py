@@ -3,17 +3,20 @@
 Every identity in this package is checked against a second route that
 shares no code with the path under test:
 
-* Gauss-Hermite quadrature for the scalar-mixing CDF product integral,
-  with nodes and weights built at first use by Newton iteration on the
-  Hermite recurrence (no tabulated constants).
+* Adaptive Gauss-Kronrod (G7-K15) quadrature for Owen's T, the bivariate
+  CDF and the scalar-mixing CDF product integral. Its nodes and weights are
+  the tabulated constants of QUADPACK's dqk15, because Kronrod nodes have
+  no simple recurrence; the tests certify them against numpy's
+  Gauss-Legendre rule and polynomial exactness. ``scipy.integrate`` is not
+  imported here: the rule is a few lines, and the import alone would add
+  about 18 MB to ``verify``.
 * Plain Monte Carlo for the vector-mixing integral and for raw MVN
   rectangle probabilities, with honest standard errors.
-* Adaptive Gauss-Kronrod (G7-K15) quadrature for Owen's T and the
-  bivariate CDF. Its nodes and weights are the tabulated constants of
-  QUADPACK's dqk15, because Kronrod nodes have no simple recurrence; the
-  tests certify them against numpy's Gauss-Legendre rule and polynomial
-  exactness. ``scipy.integrate`` is not imported here: the rule is a few
-  lines, and the import alone would add about 18 MB to ``verify``.
+* Gauss-Hermite quadrature of the scalar-mixing integral at a fixed order.
+  No check of this package uses it (at order 200 it is off by up to
+  4.2e-7 on verify's identity-scalar draws); it is kept, with its ``order``
+  argument, because the moments-mixed workload of ``perfbench`` reads it
+  as a reference.
 
 All stochastic oracles are deterministic given their seed.
 """
@@ -25,7 +28,7 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, roots_hermite
 
 from .identities import ScalarMixParams, VectorMixParams
 from .mvn_cdf import MvnQuery
@@ -34,6 +37,7 @@ __all__ = [
     "QuadratureDepthError",
     "gauss_hermite_nodes",
     "cdf_product_scalar_quad",
+    "cdf_product_scalar_adaptive",
     "cdf_product_vector_mc",
     "mvn_mc",
     "adaptive_quad_1d",
@@ -45,10 +49,15 @@ __all__ = [
 _MC_CHUNK = 1 << 16
 _SQRT_PI = math.sqrt(math.pi)
 _INV_2PI = 1.0 / (2.0 * math.pi)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _MIN_QUAD_TOL = 1e-13
 _MAX_QUAD_DEPTH = 50
 # offsets from h of the pieces of the bivariate oracle's range
 _BIVARIATE_BREAKS = (-40.0, -8.0, -2.0, 0.0)
+# the scalar oracle's window in w ~ N(0, 1), and the breakpoints around each
+# factor's rise, in units of its width v_r / s
+_SCALAR_HALF_WIDTH = 9.0
+_SCALAR_BREAKS = np.array([-8.0, -2.0, 0.0, 2.0, 8.0])
 
 
 class QuadratureDepthError(RuntimeError):
@@ -59,70 +68,17 @@ class QuadratureDepthError(RuntimeError):
         super().__init__(f"adaptive quadrature exceeded max depth (partial={partial!r})")
 
 
-def _hermite_scaled(order: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal Hermite value and derivative, damped by exp(-z^2/2).
-
-    The damping keeps every intermediate O(1) for any order (the bare
-    polynomials overflow near the extreme roots for order >~ 190), and it
-    cancels in the Newton ratio value/derivative.
-    """
-    p1 = math.pi ** -0.25 * np.exp(-0.5 * z * z)
-    p2 = np.zeros_like(p1)
-    for j in range(1, order + 1):
-        p1, p2 = z * math.sqrt(2.0 / j) * p1 - math.sqrt((j - 1.0) / j) * p2, p1
-    return p1, math.sqrt(2.0 * order) * p2
-
-
 @functools.lru_cache(maxsize=8)
 def gauss_hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for integral f(t) exp(-t^2) dt ~ sum w_i f(t_i).
 
-    The positive roots are bracketed by a sign scan of the damped Hermite
-    recurrence on a grid finer than the minimal root spacing pi/sqrt(2n+1)
-    and polished by bracket-safeguarded Newton iteration; the negative
-    half follows by symmetry. Nodes are returned in ascending order.
+    A cached, read-only copy of ``scipy.special.roots_hermite``; nodes are
+    in ascending order. numpy's ``hermgauss`` is not used: its weights are
+    nan at order 400.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order!r}")
-    if order == 1:
-        return np.zeros(1), np.asarray([_SQRT_PI])
-    n_pos = order // 2
-    zmax = math.sqrt(2.0 * order + 1.0)
-    step = math.pi / (3.0 * zmax)
-    grid = np.arange(step / 7.0, zmax + step, step)
-    values = _hermite_scaled(order, grid)[0]
-    flips = np.flatnonzero(np.sign(values[:-1]) != np.sign(values[1:]))
-    if flips.size != n_pos:
-        raise RuntimeError(
-            f"bracketing found {flips.size} positive roots, expected {n_pos}")
-    lo = grid[flips]
-    hi = grid[flips + 1]
-    lo_sign = np.sign(values[flips])
-    z = 0.5 * (lo + hi)
-    for _ in range(100):
-        val, deriv = _hermite_scaled(order, z)
-        shrink = np.sign(val) == lo_sign
-        lo = np.where(shrink, z, lo)
-        hi = np.where(shrink, hi, z)
-        z_new = z - val / deriv
-        outside = ~np.isfinite(z_new) | (z_new <= lo) | (z_new >= hi)
-        z_new = np.where(outside, 0.5 * (lo + hi), z_new)
-        if np.all(np.abs(z_new - z) <= 1e-15 * np.maximum(1.0, np.abs(z))):
-            z = z_new
-            break
-        z = z_new
-    deriv = _hermite_scaled(order, z)[1]
-    # w = 2 / H'(z)^2 with the damping restored; the square of the damped
-    # ratio avoids overflow and underflows cleanly for the far-tail nodes
-    t = math.sqrt(2.0) * np.exp(-0.5 * z * z) / deriv
-    w_pos = t * t
-    if order % 2 == 1:
-        center_w = 2.0 / _hermite_scaled(order, np.zeros(1))[1] ** 2
-        x = np.concatenate([-z[::-1], [0.0], z])
-        w = np.concatenate([w_pos[::-1], center_w, w_pos])
-    else:
-        x = np.concatenate([-z[::-1], z])
-        w = np.concatenate([w_pos[::-1], w_pos])
+    x, w = roots_hermite(order)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -132,8 +88,10 @@ def cdf_product_scalar_quad(params: ScalarMixParams, order: int = 200) -> float:
     """Gauss-Hermite value of E[prod_r Phi((x - m_r)/v_r)], x ~ N(mu, sigma2).
 
     Substituting x = mu + sigma * sqrt(2) * t reduces the integral to the
-    exp(-t^2) weight; the result is deterministic and converges as the
-    order grows (certify with an order-doubling comparison).
+    exp(-t^2) weight. A fixed order has no error bound: at order 200 it is
+    off by 3.5e-5 when one factor is narrow (v_r / s = 0.1). The checks use
+    :func:`cdf_product_scalar_adaptive`; this one stays only because the
+    benchmark's moments-mixed workload reads it.
     """
     if not 20 <= order <= 400:
         raise ValueError(f"order must lie in [20, 400], got {order!r}")
@@ -303,39 +261,73 @@ def owen_t_integrand(h: float) -> Callable[[float], float]:
     return f
 
 
-def bivariate_cdf_quad(h: float, k: float, rho: float, tol: float = 1e-13) -> float:
-    """Bivariate normal CDF by conditioning + adaptive quadrature.
+def _pieces(f: Callable[[float], float], breaks, tol: float) -> float:
+    """Sum of adaptive rules over the consecutive pieces of ``breaks``.
 
-    Integrates phi(x) Phi((k - rho x)/sqrt(1-rho^2)) for x in [h - 40, h];
-    shares no code with the Owen's T construction it is used to check. The
-    range is split at h - 8 and h - 2 before adapting, and each piece gets a
-    share of ``tol`` in proportion to its length: a single first panel on
-    [h - 40, h] can place every node where mass that is narrow near h has
-    already died off, and then pass |K15 - G7| on almost nothing. The
-    shares go below the floor of :func:`adaptive_quad_1d`, so the pieces
-    call the adaptive rule directly.
+    Each piece gets a share of ``tol`` in proportion to its length; ``tol``
+    itself must be at least the floor of :func:`adaptive_quad_1d`, and the
+    shares may go below it. Like sibling panels in ``_adaptive``, a piece
+    that hits the depth limit adds its partial sum and the other pieces
+    still run.
     """
-    if not math.isfinite(h):
-        raise ValueError("integration limits must be finite")
     if tol < _MIN_QUAD_TOL:
         raise ValueError(f"tol must be >= {_MIN_QUAD_TOL:g}, got {tol!r}")
-    root = math.sqrt((1.0 - rho) * (1.0 + rho))
-    inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
-
-    def f(x: float) -> float:
-        return inv_sqrt_2pi * math.exp(-0.5 * x * x) * float(ndtr((k - rho * x) / root))
-
-    span = _BIVARIATE_BREAKS[-1] - _BIVARIATE_BREAKS[0]
+    span = breaks[-1] - breaks[0]
     total = 0.0
     failed = False
-    for lo, hi in zip(_BIVARIATE_BREAKS, _BIVARIATE_BREAKS[1:]):
-        # like sibling panels in _adaptive, a piece that hits the depth
-        # limit adds its partial sum and the other pieces still run
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
         try:
-            total += _adaptive(f, h + lo, h + hi, tol * (hi - lo) / span, _MAX_QUAD_DEPTH)
+            total += _adaptive(f, lo, hi, tol * (hi - lo) / span, _MAX_QUAD_DEPTH)
         except QuadratureDepthError as exc:
             total += exc.partial
             failed = True
     if failed:
         raise QuadratureDepthError(total)
     return total
+
+
+def cdf_product_scalar_adaptive(params: ScalarMixParams,
+                                tol: float = 1e-13) -> tuple[float, float]:
+    """E[prod_r Phi((x - m_r)/v_r)], x ~ N(mu, sigma2), by adaptive quadrature.
+
+    Integrates E_w prod_r Phi((mu - m_r + s w)/v_r), w ~ N(0, 1) and
+    s = sqrt(sigma2), over w in [-9, 9]. Factor r rises across
+    w_r = (m_r - mu)/s over a width v_r/s, and the range is split at
+    w_r + {0, +-2, +-8} v_r/s, clipped to the window, so that no panel steps
+    over a narrow rise. ``tol`` is the absolute tolerance, at least 1e-13.
+    Returns (value, certificate): the certificate is ``tol`` plus the mass
+    2 Phi(-9) outside the window.
+
+    Raises :class:`QuadratureDepthError` with the partial estimate attached
+    if refinement exceeds the depth limit.
+    """
+    s = math.sqrt(params.sigma2)
+    offset = params.mu - params.m
+
+    def f(w: float) -> float:
+        return _INV_SQRT_2PI * math.exp(-0.5 * w * w) * float(
+            np.prod(ndtr((offset + s * w) / params.v)))
+
+    edge = _SCALAR_HALF_WIDTH
+    rises = ((params.m - params.mu) / s)[:, None] + (params.v / s)[:, None] * _SCALAR_BREAKS
+    breaks = np.unique(np.clip(np.append(rises, (-edge, edge)), -edge, edge))
+    return _pieces(f, breaks.tolist(), tol), tol + 2.0 * float(ndtr(-edge))
+
+
+def bivariate_cdf_quad(h: float, k: float, rho: float, tol: float = 1e-13) -> float:
+    """Bivariate normal CDF by conditioning + adaptive quadrature.
+
+    Integrates phi(x) Phi((k - rho x)/sqrt(1-rho^2)) for x in [h - 40, h];
+    shares no code with the Owen's T construction it is used to check. The
+    range is split at h - 8 and h - 2 before adapting: a single first panel
+    on [h - 40, h] can place every node where mass that is narrow near h has
+    already died off, and then pass |K15 - G7| on almost nothing.
+    """
+    if not math.isfinite(h):
+        raise ValueError("integration limits must be finite")
+    root = math.sqrt((1.0 - rho) * (1.0 + rho))
+
+    def f(x: float) -> float:
+        return _INV_SQRT_2PI * math.exp(-0.5 * x * x) * float(ndtr((k - rho * x) / root))
+
+    return _pieces(f, [h + b for b in _BIVARIATE_BREAKS], tol)

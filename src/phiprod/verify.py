@@ -163,8 +163,9 @@ def _draw_scalar_params(rng: np.random.Generator, max_n: int = 5) -> ScalarMixPa
 def _suite_identity_scalar(trials: int, seed: int, accuracy: float, perturb: float):
     rng = np.random.default_rng([seed % (1 << 63), 2])
 
-    # the MVN reduction itself is checked against Gauss-Hermite, and the
-    # one-factor route that cdf_product_scalar takes is checked against it
+    # the MVN reduction itself is checked against adaptive quadrature, and
+    # the one-factor route that cdf_product_scalar takes is checked against
+    # it; a rerun at a 100x looser tol certifies the reference
     failures = []
     worst_gap = 0.0
     worst_cert = 0.0
@@ -173,8 +174,8 @@ def _suite_identity_scalar(trials: int, seed: int, accuracy: float, perturb: flo
     for i in range(trials):
         params = _draw_scalar_params(rng)
         est = mvn_cdf_eval(scalar_mix_query(params, accuracy), seed=seed + i)
-        ref = oracles.cdf_product_scalar_quad(params, order=200)
-        cert = abs(ref - oracles.cdf_product_scalar_quad(params, order=400))
+        ref = oracles.cdf_product_scalar_adaptive(params, tol=1e-13)[0]
+        cert = abs(ref - oracles.cdf_product_scalar_adaptive(params, tol=1e-11)[0])
         gap = abs(est.value + perturb - ref)
         worst_gap = max(worst_gap, gap)
         worst_cert = max(worst_cert, cert)
@@ -186,7 +187,7 @@ def _suite_identity_scalar(trials: int, seed: int, accuracy: float, perturb: flo
         if route > accuracy + fast.err_estimate + est.err_estimate:
             route_failures += 1
     yield CheckResult(
-        "identity-scalar", "closed_form_vs_gauss_hermite", not failures,
+        "identity-scalar", "closed_form_vs_quadrature", not failures,
         f"{trials - len(failures)}/{trials} draws within tolerance, "
         f"max gap = {worst_gap:.3g}")
     yield CheckResult(
@@ -194,8 +195,9 @@ def _suite_identity_scalar(trials: int, seed: int, accuracy: float, perturb: flo
         f"{trials - route_failures}/{trials} draws within accuracy + both errors, "
         f"max gap = {worst_route:.3g}")
     yield CheckResult(
-        "identity-scalar", "quadrature_order_doubling", worst_cert <= 1e-5,
-        f"max |order-200 - order-400| = {worst_cert:.3g}")
+        "identity-scalar", "quadrature_tolerance_certificate",
+        worst_cert + perturb <= 1e-11,
+        f"max |tol 1e-13 - tol 1e-11| = {worst_cert:.3g}")
 
     exact = True
     for _ in range(20):
@@ -217,7 +219,7 @@ def _suite_identity_scalar(trials: int, seed: int, accuracy: float, perturb: flo
                                  sigma2=float(rng.uniform(0.3, 2.0)) ** 2,
                                  m=rng.uniform(-2, 2, size=n), v=v)
         est = mvn_cdf_eval(scalar_mix_query(params, accuracy), seed=seed + 1000 + i)
-        ref = oracles.cdf_product_scalar_quad(params, order=200)
+        ref = oracles.cdf_product_scalar_adaptive(params)[0]
         worst = max(worst, abs(est.value - ref))
     yield CheckResult("identity-scalar", "wide_factor_consistency",
                       worst <= accuracy + 1e-6,

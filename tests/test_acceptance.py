@@ -105,7 +105,7 @@ def _verify_criterion(num: int, run: VerifyRun, suite: str, name: str,
 
 
 def test_criterion_02_scalar_identity_suite(verify_run):
-    _verify_criterion(2, verify_run, "identity-scalar", "closed_form_vs_gauss_hermite",
+    _verify_criterion(2, verify_run, "identity-scalar", "closed_form_vs_quadrature",
                       max_elapsed_s=60.0)
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -22,6 +24,15 @@ def diag_cov(tmp_path):
     path.write_text(json.dumps(
         {"dim": 2, "entries": [[1.5, 0.0], [0.0, 0.8]]}), encoding="utf-8")
     return str(path)
+
+
+def test_importing_the_cli_leaves_heavy_scipy_modules_unloaded():
+    # scipy.integrate alone costs about 18 MB and 0.2 s at import
+    heavy = ("scipy.integrate", "scipy.stats", "scipy.optimize")
+    code = f"import sys, phiprod.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestScalarCommand:
@@ -239,7 +250,8 @@ class TestVerifyCommand:
             ("scalar", "owen_t_vs_quadrature", 1e-9),
             ("matrix", "bordered_determinant_identity", 1e-3),
             ("matrix", "partitioned_inverse_identity", 1e-3),
-            ("identity-scalar", "closed_form_vs_gauss_hermite", 1e-3),
+            ("identity-scalar", "closed_form_vs_quadrature", 1e-3),
+            ("identity-scalar", "quadrature_tolerance_certificate", 1e-10),
             ("identity-vector", "closed_form_vs_monte_carlo", 1e-2),
             ("bernoulli", "pmf_normalization", 1e-2),
         ]])

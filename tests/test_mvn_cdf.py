@@ -542,6 +542,18 @@ class TestQueryValidation:
         assert held.tolist() == [0.5, 0.7]
         assert not held.flags.writeable
 
+    @pytest.mark.parametrize("max_samples", [1e6, 4096.0, "4096", None])
+    def test_max_samples_must_be_an_integer(self, max_samples):
+        with pytest.raises(ValueError, match="max_samples must be an integer"):
+            MvnQuery([0.0] * 3, [0.0] * 3, PdMatrix.from_entries(3, np.eye(3)),
+                     max_samples=max_samples)
+
+    def test_max_samples_is_stored_as_an_int(self):
+        q = MvnQuery([0.0] * 3, [0.0] * 3, PdMatrix.from_entries(3, np.eye(3)),
+                     max_samples=np.int64(12 * 4096))
+        assert type(q.max_samples) is int
+        assert cdf(q, seed=0).n_points <= 4096
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             cdf(_query([0.0], [0.0], [[1.0]]), method="exact")

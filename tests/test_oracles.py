@@ -101,7 +101,7 @@ class TestVectorMonteCarloOracle:
         v = float(rng.uniform(0.3, 2.0))
         vec = VectorMixParams([mu], PdMatrix.from_entries(1, [[s2]]), [m], [v])
         est, se = oracles.cdf_product_vector_mc(vec, draws=500_000, seed=1)
-        ref = oracles.cdf_product_scalar_quad(ScalarMixParams(mu, s2, [m], [v]), 200)
+        ref, _ = oracles.cdf_product_scalar_adaptive(ScalarMixParams(mu, s2, [m], [v]))
         assert abs(est - ref) <= 3.0 * se
 
     def test_deterministic(self, rng):

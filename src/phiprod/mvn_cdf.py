@@ -77,6 +77,14 @@ def _check_accuracy(accuracy: float) -> None:
         raise ValueError(f"accuracy must be in (0, 0.1], got {accuracy!r}")
 
 
+def _as_count(name: str, value) -> int:
+    """An integer argument (a sample or draw count) as an int; ValueError otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class MvnEstimate:
     """A CDF value with its estimated absolute error and evaluation path.
@@ -137,11 +145,7 @@ class MvnQuery:
         if not np.isfinite(mean).all():
             raise ValueError("mean entries must be finite")
         _check_accuracy(self.accuracy)
-        try:
-            max_samples = operator.index(self.max_samples)
-        except TypeError:
-            raise ValueError(
-                f"max_samples must be an integer, got {self.max_samples!r}") from None
+        max_samples = _as_count("max_samples", self.max_samples)
         if max_samples < _N_SHIFTS:
             raise ValueError("max_samples is too small for 12 shifts")
         upper.flags.writeable = False

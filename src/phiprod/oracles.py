@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import ndtr, roots_hermite
 
 from .identities import ScalarMixParams, VectorMixParams
-from .mvn_cdf import MvnQuery
+from .mvn_cdf import MvnQuery, _as_count
 
 __all__ = [
     "QuadratureDepthError",
@@ -110,6 +110,7 @@ def cdf_product_vector_mc(params: VectorMixParams, draws: int = 1_000_000,
     chunks so memory stays bounded and the result is independent of chunk
     partitioning for a given seed.
     """
+    draws = _as_count("draws", draws)
     if draws < 10_000:
         raise ValueError(f"draws must be >= 1e4, got {draws!r}")
     rng = np.random.default_rng(seed % (1 << 63))
@@ -140,6 +141,7 @@ def mvn_mc(query: MvnQuery, draws: int = 1_000_000, seed: int = 0) -> tuple[floa
 
     Returns (estimate, standard error) from the indicator fraction.
     """
+    draws = _as_count("draws", draws)
     if draws < 10_000:
         raise ValueError(f"draws must be >= 1e4, got {draws!r}")
     rng = np.random.default_rng(seed % (1 << 63))

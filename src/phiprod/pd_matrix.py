@@ -11,6 +11,12 @@ scale-aware pivot check: every pivot (the squared diagonal entry of the
 factor) must exceed dim * 1e-12 * max diagonal entry. A matrix that
 ``potrf`` rejects, or whose factor fails the check, raises
 :class:`NotPositiveDefiniteError` at the first failing pivot.
+
+The public constructors factor and check at construction, so non-PD input
+is rejected at once. Only the library itself may skip that, through the
+private :meth:`PdMatrix._derived`, for a matrix it derives from an already
+checked one in a way that keeps every pivot above the threshold; its factor
+is computed, by the same potrf and pivot check, when it is first read.
 """
 
 from __future__ import annotations
@@ -105,11 +111,14 @@ def _cholesky_lower(entries: np.ndarray) -> np.ndarray:
 
 
 class PdMatrix:
-    """Immutable SPD matrix with its lower Cholesky factor computed eagerly.
+    """Immutable SPD matrix with its lower Cholesky factor.
 
     Use :meth:`from_entries` for general input; the constructor itself
     expects an already-symmetric float array and only runs the Cholesky
-    validation (LAPACK potrf and the scale-aware pivot check).
+    validation (LAPACK potrf and the scale-aware pivot check). Both factor
+    eagerly. A matrix from :meth:`_derived` computes its factor when
+    :attr:`chol`, :meth:`det` or :meth:`solve` first needs it, by the same
+    validation, and keeps it.
     """
 
     __slots__ = ("_entries", "_chol")
@@ -120,6 +129,33 @@ class PdMatrix:
         entries.flags.writeable = False
         self._chol.flags.writeable = False
         self._entries = entries
+
+    @classmethod
+    def _derived(cls, entries: np.ndarray) -> "PdMatrix":
+        """Wrap a matrix the library derived from a checked PdMatrix, unfactored.
+
+        ``entries`` must be a fresh symmetric float array, which the result
+        takes over, and one of these, with Sigma the entries of a PdMatrix:
+
+        - I + D Sigma D with D diagonal of +/-1. D Sigma D has the pivots of
+          Sigma, and adding I raises each pivot (a Schur complement, the
+          minimum of x^T A x over x with x_j = 1 and x_k = 0 past j) by at
+          least x_j^2 = 1, while the threshold rises by only dim * 1e-12.
+        - A principal submatrix of Sigma with its indices in sorted order.
+          Its pivot k conditions a variable on a subset of the predecessors
+          it has in Sigma, so it is no smaller than Sigma's pivot there, and
+          its threshold k * 1e-12 * max diagonal entry is no larger.
+
+        So the pivot check cannot fail on it, and the eager factor would
+        only be computed for readers that may never come (the pmf path
+        reads the entries alone). The first read of the factor still runs
+        the full check.
+        """
+        m = cls.__new__(cls)
+        entries.flags.writeable = False
+        m._entries = entries
+        m._chol = None
+        return m
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "PdMatrix":
@@ -152,10 +188,13 @@ class PdMatrix:
     @property
     def chol(self) -> np.ndarray:
         """Read-only view of the lower Cholesky factor."""
+        if self._chol is None:
+            self._chol = _cholesky_lower(self._entries)
+            self._chol.flags.writeable = False
         return self._chol
 
     def det(self) -> float:
-        d = np.diagonal(self._chol)
+        d = np.diagonal(self.chol)
         return float(np.prod(d) ** 2)
 
     def solve(self, rhs) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauss_scalar import cdf as _scalar_cdf
-from .mvn_cdf import MvnEstimate, MvnQuery
+from .mvn_cdf import MvnEstimate, MvnQuery, _as_count
 from .mvn_cdf import cdf as _mvn_cdf
 from .pd_matrix import PdMatrix
 
@@ -89,8 +89,8 @@ class ProbitBernoulli:
         ys = y.as_array()
         if ys.shape != (self.dim,):
             raise ValueError(f"sign vector has length {len(y)}, expected {self.dim}")
-        # I + D_y Sigma D_y is symmetric and finite by construction
-        cov = PdMatrix(np.eye(self.dim) + self._sigma.entries * (ys[:, None] * ys))
+        # I + D_y Sigma D_y is symmetric, finite and PD by construction
+        cov = PdMatrix._derived(np.eye(self.dim) + self._sigma.entries * (ys[:, None] * ys))
         return MvnQuery(upper=ys * self._mu, mean=np.zeros(self.dim), cov=cov,
                         accuracy=accuracy)
 
@@ -111,6 +111,7 @@ class ProbitBernoulli:
         Each row is sign(f + eps) with f ~ N(mu, Sigma) and eps ~ N(0, I),
         which realizes the probit trials exactly. Deterministic given seed.
         """
+        count = _as_count("count", count)
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count!r}")
         rng = np.random.default_rng(seed % (1 << 63))
@@ -144,8 +145,9 @@ class ProbitBernoulli:
 
         Marginalizing the latent Gaussian marginalizes the sign vector, so
         this just restricts (mu, Sigma). A principal submatrix of a valid
-        Sigma is symmetric and finite, so only its Cholesky pivots are
-        checked.
+        Sigma, taken in sorted order, is symmetric, finite and PD by
+        construction, so it is not checked again; its Cholesky factor is
+        computed when first read (by :meth:`sample`), never by :meth:`pmf`.
         """
         requested = [int(i) for i in keep]
         idx = sorted(set(requested))
@@ -156,7 +158,7 @@ class ProbitBernoulli:
         if idx[0] < 0 or idx[-1] >= self.dim:
             raise ValueError(f"keep indices must lie in [0, {self.dim})")
         cols = np.array(idx)
-        sub = PdMatrix(self._sigma.entries.take(cols, 0).take(cols, 1))
+        sub = PdMatrix._derived(self._sigma.entries.take(cols, 0).take(cols, 1))
         return ProbitBernoulli(self._mu[cols], sub)
 
     def __repr__(self) -> str:

@@ -154,6 +154,12 @@ class TestVectorMonteCarloOracle:
         with pytest.raises(ValueError):
             oracles.cdf_product_vector_mc(params, draws=100)
 
+    def test_draws_must_be_an_integer(self):
+        params = VectorMixParams(mu=[0.0], sigma=PdMatrix.from_entries(1, [[1.0]]),
+                                 m=[0.0], v=[1.0])
+        with pytest.raises(ValueError, match="draws must be an integer"):
+            oracles.cdf_product_vector_mc(params, draws=1e6)
+
 
 class TestMvnMonteCarloOracle:
     def test_univariate(self):
@@ -173,6 +179,11 @@ class TestMvnMonteCarloOracle:
                      cov=PdMatrix.from_entries(2, np.eye(2)))
         est, se = oracles.mvn_mc(q, draws=100_000, seed=5)
         assert abs(est - 0.5) <= 3.0 * se
+
+    def test_draws_must_be_an_integer(self):
+        q = MvnQuery(upper=[0.8], mean=[0.0], cov=PdMatrix.from_entries(1, [[1.0]]))
+        with pytest.raises(ValueError, match="draws must be an integer"):
+            oracles.mvn_mc(q, draws=1e6)
 
     def test_standard_normal_stream_distribution(self):
         # sanity of the generator feeding every MC oracle

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf
 from scipy.stats import multivariate_normal
 
-from phiprod import pd_matrix
+from phiprod import oracles, pd_matrix
 from phiprod.gauss_scalar import cdf as scalar_cdf
 from phiprod.mvn_cdf import MvnQuery, cdf as mvn_cdf
-from phiprod.pd_matrix import PdMatrix
+from phiprod.pd_matrix import NotPositiveDefiniteError, PdMatrix
 from phiprod.probit_bernoulli import ProbitBernoulli, SignVector
 from phiprod.verify import _REFERENCE_SEED_OFFSET, _random_pd
 
@@ -140,9 +142,11 @@ class TestPmf:
             assert d.pmf(y, accuracy=1e-5, seed=s) == ref
 
     @pytest.mark.parametrize("n", [2, 5])
-    def test_pmf_and_marginalize_factor_once_each(self, monkeypatch, rng, n):
-        # marginalize factors Sigma[keep, keep], which sample reads; pmf
-        # factors only the query's I + D_y Sigma D_y
+    def test_factor_waits_for_its_first_reader(self, monkeypatch, rng, n):
+        # neither marginalize's Sigma[keep, keep] nor pmf's I + D_y Sigma D_y
+        # is factored by LAPACK: the pmf path reads their entries only (at
+        # N >= 3 _prioritized_cholesky factors in its own order). sample
+        # reads the marginal's factor, which is computed then, once
         calls = []
 
         def counting_dpotrf(*args, **kwargs):
@@ -152,14 +156,104 @@ class TestPmf:
         d = ProbitBernoulli(rng.uniform(-1, 1, size=8), _random_pd(rng, 8))
         monkeypatch.setattr(pd_matrix, "dpotrf", counting_dpotrf)
         marginal = d.marginalize(range(n))
-        assert len(calls) == 1
+        assert len(calls) == 0
         marginal.pmf(SignVector((1, -1) * (n // 2) + (1,) * (n % 2)), accuracy=1e-3)
-        assert len(calls) == 2
+        assert len(calls) == 0
+        first = marginal.sigma.chol
+        assert len(calls) == 1
+        assert marginal.sigma.chol is first
+        assert len(calls) == 1
 
     def test_wrong_length_sign_vector(self, sign_fixture):
         d = ProbitBernoulli(*sign_fixture)
         with pytest.raises(ValueError):
             d.pmf(SignVector((1,)))
+
+
+def _lowest_accepted_last_diagonal(entries: np.ndarray) -> np.ndarray:
+    """entries with its last diagonal entry lowered to the smallest float that
+    from_entries still accepts: the last pivot sits on the threshold, and one
+    ulp less on that entry is rejected. Bisects over the bit patterns of
+    positive floats, which are ordered like the floats; a zero diagonal entry
+    is always rejected."""
+    n = entries.shape[0]
+
+    def accepted(bits: int) -> bool:
+        trial = entries.copy()
+        trial[-1, -1] = np.int64(bits).view(np.float64)
+        try:
+            PdMatrix.from_entries(n, trial)
+        except NotPositiveDefiniteError:
+            return False
+        return True
+
+    lo, hi = 0, int(np.float64(entries[-1, -1]).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if accepted(mid):
+            hi = mid
+        else:
+            lo = mid
+    out = entries.copy()
+    out[-1, -1] = np.int64(hi).view(np.float64)
+    return out
+
+
+@st.composite
+def _checked_models(draw):
+    """(mu, Sigma, y, keep): Sigma of size 1-8 accepted by from_entries, at
+    scales 1e-6 to 1e10, with its smallest eigenvalue anywhere down to near
+    the pivot threshold, or with its last pivot on the threshold (its last
+    diagonal entry one ulp above a rejected one)."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("pd", "near_singular", "edge")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eig = 10.0 ** rng.uniform(-2.0, 1.0, size=n)
+    if kind == "near_singular":
+        eig[0] = n * 1e-12 * eig.max() * 10.0 ** rng.uniform(0.0, 3.0)
+    a = (q * eig) @ q.T
+    entries = 10.0 ** draw(st.floats(-6.0, 10.0)) * (0.5 * (a + a.T))
+    if kind == "edge" and n > 1:
+        entries = _lowest_accepted_last_diagonal(entries)
+    try:
+        sigma = PdMatrix.from_entries(n, entries)
+    except NotPositiveDefiniteError:
+        assume(False)
+    keep = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    y = SignVector(tuple(rng.choice([-1, 1], size=n).tolist()))
+    return rng.uniform(-1.5, 1.5, size=n), sigma, y, sorted(keep)
+
+
+class TestPdByConstruction:
+    # pmf's I + D_y Sigma D_y and marginalize's Sigma[keep, keep] skip the
+    # eager pivot check; the eager constructor must accept both whenever
+    # Sigma passed, and the factor read later must be the eager one
+    @given(_checked_models())
+    @settings(max_examples=200, deadline=None)
+    def test_derived_covariances_match_their_eager_twins(self, model):
+        mu, sigma, y, keep = model
+        n = sigma.dim
+        d = ProbitBernoulli(mu, sigma)
+        for signs in d.support():
+            ys = signs.as_array()
+            eager = PdMatrix(np.eye(n) + sigma.entries * np.outer(ys, ys))
+            lazy = d._query(signs, 1e-3).cov
+            assert np.array_equal(lazy.entries, eager.entries)
+            assert np.array_equal(lazy.chol, eager.chol)
+        ys = y.as_array()
+        eager_query = MvnQuery(upper=ys * mu, mean=np.zeros(n), accuracy=1e-3,
+                               cov=PdMatrix(np.eye(n) + sigma.entries * np.outer(ys, ys)))
+        assert (oracles.mvn_mc(d._query(y, 1e-3), draws=10_000, seed=n)
+                == oracles.mvn_mc(eager_query, draws=10_000, seed=n))
+
+        cols = np.array(keep)
+        eager = PdMatrix(sigma.entries[np.ix_(cols, cols)])
+        marginal = d.marginalize(keep)
+        twin = ProbitBernoulli(mu[cols], eager)
+        assert np.array_equal(marginal.sample(1000, seed=n), twin.sample(1000, seed=n))
+        assert np.array_equal(marginal.sigma.entries, eager.entries)
+        assert np.array_equal(marginal.sigma.chol, eager.chol)
 
 
 class TestLogPmf:
@@ -212,6 +306,11 @@ class TestSample:
         d = ProbitBernoulli(*sign_fixture)
         with pytest.raises(ValueError):
             d.sample(0)
+
+    def test_count_must_be_an_integer(self, sign_fixture):
+        d = ProbitBernoulli(*sign_fixture)
+        with pytest.raises(ValueError, match="count must be an integer"):
+            d.sample(1e3)
 
 
 class TestNormalization:

@@ -122,6 +122,13 @@ class MvnQuery:
     max_samples, an integer, bounds the total number of lattice points the
     QMC path evaluates across the 12 shifts (each point is evaluated once;
     one 1024-point level per shift is evaluated whatever the budget).
+
+    Construction is where these are checked, once: upper and mean become
+    read-only float copies of shape (cov.dim,), upper entries must be
+    finite or +inf, mean entries finite, accuracy in (0, 0.1] and
+    max_samples an integer of at least 12. The covariance is checked by
+    :class:`PdMatrix`. :func:`cdf` relies on all of it and checks nothing
+    again.
     """
 
     upper: np.ndarray
@@ -131,8 +138,11 @@ class MvnQuery:
     max_samples: int = _DEFAULT_MAX_SAMPLES
 
     def __post_init__(self):
-        upper = np.atleast_1d(np.array(self.upper, dtype=float))
-        mean = np.atleast_1d(np.array(self.mean, dtype=float))
+        # one fresh copy each, so the caller's arrays stay theirs; the entry
+        # tests run on Python floats, which is cheaper than a numpy reduction
+        # at the small N of the exact paths
+        upper = np.array(self.upper, dtype=float, ndmin=1)
+        mean = np.array(self.mean, dtype=float, ndmin=1)
         n = self.cov.dim
         if upper.shape != (n,) or mean.shape != (n,):
             raise ValueError(
@@ -140,9 +150,9 @@ class MvnQuery:
                 f"{upper.shape} and {mean.shape}"
             )
         # nan and -inf are the entries that are not above -inf
-        if not (upper > -math.inf).all():
+        if not all(map((-math.inf).__lt__, upper.tolist())):
             raise ValueError("upper entries must be finite or +inf")
-        if not np.isfinite(mean).all():
+        if not all(map(math.isfinite, mean.tolist())):
             raise ValueError("mean entries must be finite")
         _check_accuracy(self.accuracy)
         max_samples = _as_count("max_samples", self.max_samples)
@@ -403,24 +413,37 @@ def cdf(query: MvnQuery, seed: int = 0, method: str = "auto") -> MvnEstimate:
     path regardless of dimension; only the tests use it, to check the
     lattice against the exact N <= 2 paths. The result is deterministic
     given (query, seed).
+
+    Only ``method`` is checked here: the query checked its own fields when
+    it was built. The exact paths read the limits, the mean and the few
+    covariance entries they need as Python floats, in the order of
+    operations of the array form, so they return the same bits; only the
+    QMC path slices arrays.
     """
     if method not in ("auto", "qmc"):
         raise ValueError(f"method must be 'auto' or 'qmc', got {method!r}")
-    active = np.flatnonzero(np.isfinite(query.upper))
-    if active.size == 0:
+    upper = query.upper.tolist()
+    # the query holds finite and +inf limits only
+    active = [i for i, u in enumerate(upper) if u != math.inf]
+    n = len(active)
+    if n == 0:
         return MvnEstimate(1.0, 0.0, "univariate")
-    n = active.size
+    if method == "auto" and n <= 2:
+        mean = query.mean.tolist()
+        cov = query.cov.entries
+        i, j = active[0], active[-1]
+        s1 = math.sqrt(cov.item(i, i))
+        h = (upper[i] - mean[i]) / s1
+        if n == 1:
+            return MvnEstimate(_scalar_cdf(h), 0.0, "univariate")
+        s2 = math.sqrt(cov.item(j, j))
+        rho = cov.item(i, j) / (s1 * s2)
+        value = bivariate_cdf(h, (upper[j] - mean[j]) / s2, rho)
+        return MvnEstimate(value, 0.0, "bivariate_owen")
+    labels = np.array(active)
     b = query.upper - query.mean
     cov = query.cov.entries
     if n < query.dim:
-        b = b[active]
-        cov = cov[np.ix_(active, active)]
-    if method == "auto" and n == 1:
-        return MvnEstimate(_scalar_cdf(b[0] / math.sqrt(cov[0, 0])), 0.0, "univariate")
-    if method == "auto" and n == 2:
-        s1 = math.sqrt(cov[0, 0])
-        s2 = math.sqrt(cov[1, 1])
-        rho = cov[0, 1] / (s1 * s2)
-        value = bivariate_cdf(b[0] / s1, b[1] / s2, rho)
-        return MvnEstimate(value, 0.0, "bivariate_owen")
-    return _qmc_cdf(b, cov, active, query.accuracy, query.max_samples, seed)
+        b = b[labels]
+        cov = cov[np.ix_(labels, labels)]
+    return _qmc_cdf(b, cov, labels, query.accuracy, query.max_samples, seed)

@@ -27,6 +27,9 @@ from .pd_matrix import PdMatrix
 __all__ = ["SignVector", "ProbitBernoulli"]
 
 _MAX_ENUM_DIM = 15
+# rows of latent draws that sample() maps and signs at a time: bounds its
+# temporaries to a few chunks on top of the (count, dim) draws themselves
+_SAMPLE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -58,20 +61,44 @@ class SignVector:
         return SignVector(tuple(-s for s in self.signs))
 
 
+def _as_index(value) -> int:
+    """A coordinate index as an int; ValueError for non-integers and for bools,
+    which would read a mask as the indices 0 and 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"keep indices must be integers, not bools, got {value!r}")
+    return _as_count("keep index", value)
+
+
 class ProbitBernoulli:
     """Sign-vector distribution induced by probit trials on a latent Gaussian."""
 
     def __init__(self, mu, sigma: PdMatrix):
-        mu = np.atleast_1d(np.array(mu, dtype=float))
+        mu = np.array(mu, dtype=float, ndmin=1)
         if mu.shape != (sigma.dim,):
             raise ValueError(
                 f"mu has shape {mu.shape}, expected ({sigma.dim},) to match sigma"
             )
-        if not np.isfinite(mu).all():
+        if not all(map(math.isfinite, mu.tolist())):
             raise ValueError("mu entries must be finite")
         mu.flags.writeable = False
         self._mu = mu
         self._sigma = sigma
+
+    @classmethod
+    def _derived(cls, mu: np.ndarray, sigma: PdMatrix) -> "ProbitBernoulli":
+        """Wrap parts the library derived from a checked model, unchecked.
+
+        ``mu`` must be a fresh float array, which the result takes over, of
+        shape (sigma.dim,) and with finite entries: entries of a checked
+        ``mu``, as :meth:`marginalize` takes them, are. The public
+        constructor checks exactly these properties, so it could not fail on
+        them.
+        """
+        m = cls.__new__(cls)
+        mu.flags.writeable = False
+        m._mu = mu
+        m._sigma = sigma
+        return m
 
     @property
     def dim(self) -> int:
@@ -86,13 +113,16 @@ class ProbitBernoulli:
         return self._sigma
 
     def _query(self, y: SignVector, accuracy: float) -> MvnQuery:
+        n = self.dim
+        if len(y) != n:
+            raise ValueError(f"sign vector has length {len(y)}, expected {n}")
         ys = y.as_array()
-        if ys.shape != (self.dim,):
-            raise ValueError(f"sign vector has length {len(y)}, expected {self.dim}")
         # I + D_y Sigma D_y is symmetric, finite and PD by construction
-        cov = PdMatrix._derived(np.eye(self.dim) + self._sigma.entries * (ys[:, None] * ys))
-        return MvnQuery(upper=ys * self._mu, mean=np.zeros(self.dim), cov=cov,
-                        accuracy=accuracy)
+        entries = self._sigma.entries * (ys[:, None] * ys)
+        diagonal = entries.reshape(-1)[::n + 1]
+        diagonal += 1.0
+        return MvnQuery(upper=ys * self._mu, mean=np.zeros(n),
+                        cov=PdMatrix._derived(entries), accuracy=accuracy)
 
     def pmf(self, y: SignVector, accuracy: float = 1e-6, seed: int = 0) -> MvnEstimate:
         """P(Y = y) as an MVN CDF evaluation, with its error estimate."""
@@ -115,9 +145,19 @@ class ProbitBernoulli:
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count!r}")
         rng = np.random.default_rng(seed % (1 << 63))
-        latent = self._mu + rng.standard_normal((count, self.dim)) @ self._sigma.chol.T
-        noise = rng.standard_normal((count, self.dim))
-        return np.where(latent + noise >= 0.0, 1, -1).astype(np.int8)
+        # all latent normals first, then all noise, as one draw each would
+        # take them: standard_normal fills its output in sequence, so the
+        # noise drawn chunk by chunk is the same stream
+        latent = rng.standard_normal((count, self.dim))
+        chol_t = self._sigma.chol.T
+        signs = np.empty((count, self.dim), dtype=np.int8)
+        for start in range(0, count, _SAMPLE_CHUNK):
+            rows = slice(start, start + _SAMPLE_CHUNK)
+            f = latent[rows] @ chol_t
+            f += self._mu
+            f += rng.standard_normal(f.shape)
+            signs[rows] = np.where(f >= 0.0, 1, -1)
+        return signs
 
     def support(self):
         """All 2^dim sign vectors in a fixed deterministic order."""
@@ -144,12 +184,16 @@ class ProbitBernoulli:
         """Distribution of the coordinates in ``keep`` (0-based indices).
 
         Marginalizing the latent Gaussian marginalizes the sign vector, so
-        this just restricts (mu, Sigma). A principal submatrix of a valid
-        Sigma, taken in sorted order, is symmetric, finite and PD by
-        construction, so it is not checked again; its Cholesky factor is
-        computed when first read (by :meth:`sample`), never by :meth:`pmf`.
+        this just restricts (mu, Sigma). ``keep`` is checked here: each
+        index must be an integer (``operator.index``; bools, masks and
+        floats are rejected), in range and not repeated. The parts are not
+        checked again. Entries of the checked ``mu`` are finite, and there
+        is one per index. A principal submatrix of a valid Sigma, taken in
+        sorted order, is symmetric, finite and PD by construction; its
+        Cholesky factor is computed, with the full pivot check, when first
+        read (by :meth:`sample`), never by :meth:`pmf`.
         """
-        requested = [int(i) for i in keep]
+        requested = [_as_index(i) for i in keep]
         idx = sorted(set(requested))
         if len(idx) == 0:
             raise ValueError("keep must be a non-empty index set")
@@ -159,7 +203,7 @@ class ProbitBernoulli:
             raise ValueError(f"keep indices must lie in [0, {self.dim})")
         cols = np.array(idx)
         sub = PdMatrix._derived(self._sigma.entries.take(cols, 0).take(cols, 1))
-        return ProbitBernoulli(self._mu[cols], sub)
+        return ProbitBernoulli._derived(self._mu.take(cols), sub)
 
     def __repr__(self) -> str:
         return f"ProbitBernoulli(dim={self.dim})"

@@ -113,6 +113,27 @@ class TestExactPaths:
         est = cdf(_query([math.inf, math.inf], [0.0, 0.0], np.eye(2)))
         assert est.value == 1.0
 
+    def test_float_route_matches_the_array_form(self, rng):
+        # the N <= 2 paths run on Python floats; the array form they replace
+        # (slice, then the same operations on numpy scalars) is the reference
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            sigma = _random_pd(rng, n).entries * 10.0 ** rng.uniform(-3.0, 3.0)
+            upper = rng.uniform(-3.0, 3.0, n)
+            upper[rng.permutation(n)[:n - int(rng.integers(1, min(n, 2) + 1))]] = math.inf
+            mean = rng.uniform(-1.0, 1.0, n)
+            active = np.flatnonzero(np.isfinite(upper))
+            b = (upper - mean)[active]
+            cov = sigma[np.ix_(active, active)]
+            if active.size == 1:
+                expected = scalar_cdf(b[0] / math.sqrt(cov[0, 0]))
+            else:
+                s1, s2 = math.sqrt(cov[0, 0]), math.sqrt(cov[1, 1])
+                expected = bivariate_cdf(b[0] / s1, b[1] / s2, cov[0, 1] / (s1 * s2))
+            est = cdf(MvnQuery(upper, mean, PdMatrix.from_entries(n, sigma)))
+            assert type(est.value) is float
+            assert est.value == expected
+
 
 @st.composite
 def _mixed_infinite_limits(draw):
@@ -495,6 +516,23 @@ class TestQueryValidation:
     def test_rejects_nan_mean(self):
         with pytest.raises(ValueError):
             _query([0.0], [math.nan], [[1.0]])
+
+    @pytest.mark.parametrize("field, values, message", [
+        ("upper", [0.0, math.nan], r"upper entries must be finite or \+inf"),
+        ("upper", [[0.0], [0.0]], r"upper/mean must have shape \(2,\)"),
+        ("mean", [0.0, math.inf], "mean entries must be finite"),
+        ("mean", [-math.inf, 0.0], "mean entries must be finite"),
+        ("mu", [math.nan, 0.0], "mu entries must be finite"),
+        ("mu", [0.0, -math.inf], "mu entries must be finite")])
+    def test_boundary_rejects_non_finite_and_misshapen_entries(self, field, values,
+                                                               message):
+        two = PdMatrix.from_entries(2, np.eye(2))
+        fields = {"upper": [0.0, 0.0], "mean": [0.0, 0.0], field: values}
+        with pytest.raises(ValueError, match=message):
+            if field == "mu":
+                ProbitBernoulli(values, two)
+            else:
+                MvnQuery(fields["upper"], fields["mean"], two)
 
     @pytest.mark.parametrize("accuracy", [0.0, -1e-3, 0.2])
     def test_accuracy_domain(self, accuracy):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf
 from scipy.stats import multivariate_normal
 
-from phiprod import oracles, pd_matrix
+from phiprod import oracles, pd_matrix, probit_bernoulli
 from phiprod.gauss_scalar import cdf as scalar_cdf
 from phiprod.mvn_cdf import MvnQuery, cdf as mvn_cdf
 from phiprod.pd_matrix import NotPositiveDefiniteError, PdMatrix
@@ -302,6 +303,36 @@ class TestSample:
                 band = 4.0 * math.sqrt(max(p * (1 - p), 1e-12) / 1_000_000) + 1e-5
                 assert abs(freq - p) <= band
 
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_chunked_draws_equal_one_pass(self, dim):
+        # the reference is the one-pass formula sample() replaced: all latent
+        # normals, then all noise, from one stream
+        rng = np.random.default_rng(dim)
+        d = ProbitBernoulli(rng.uniform(-1, 1, dim), _random_pd(rng, dim))
+        chunk = probit_bernoulli._SAMPLE_CHUNK
+        for count in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            draws = np.random.default_rng(11)
+            latent = d.mu + draws.standard_normal((count, dim)) @ d.sigma.chol.T
+            noise = draws.standard_normal((count, dim))
+            expected = np.where(latent + noise >= 0.0, 1, -1).astype(np.int8)
+            got = d.sample(count, seed=11)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, expected)
+
+    def test_memory_is_bounded_by_the_draws(self):
+        # the (count, dim) float64 latent draws are the floor (8 bytes per
+        # entry) and the int8 result adds 1; the chunks add a bounded rest
+        rng = np.random.default_rng(4)
+        d = ProbitBernoulli(rng.uniform(-1, 1, 3), _random_pd(rng, 3))
+        count = 1_000_000
+        tracemalloc.start()
+        try:
+            d.sample(count, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * count * 3
+
     def test_count_domain(self, sign_fixture):
         d = ProbitBernoulli(*sign_fixture)
         with pytest.raises(ValueError):
@@ -384,11 +415,22 @@ class TestMarginalize:
                 if tuple(y.signs[j] for j in keep) == target)
             assert abs(direct - summed) <= 4e-6
 
-    @pytest.mark.parametrize("keep", [[], [0, 0], [5], [-1]])
+    # masks and floats are not indices: [True, False] once kept {0, 1} and
+    # [1.9] kept coordinate 1
+    @pytest.mark.parametrize("keep", [[], [0, 0], [5], [-1], [True, False],
+                                      [np.True_], np.array([True, False, True]),
+                                      [1.9], [np.float64(1.0)], ["1"]])
     def test_domain(self, keep, rng):
         d = ProbitBernoulli(rng.uniform(-1, 1, 3), _random_pd(rng, 3))
         with pytest.raises(ValueError):
             d.marginalize(keep)
+
+    def test_numpy_integer_indices_are_accepted(self, rng):
+        d = ProbitBernoulli(rng.uniform(-1, 1, 3), _random_pd(rng, 3))
+        m = d.marginalize(np.array([2, 0], dtype=np.int64))
+        assert m.mu.tolist() == [d.mu[0], d.mu[2]]
+        assert m.sigma.entries.tolist() == d.sigma.entries[np.ix_([0, 2], [0, 2])].tolist()
+        assert not m.mu.flags.writeable
 
 
 class TestConstruction:

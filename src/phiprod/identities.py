@@ -45,7 +45,7 @@ from scipy.special import ndtr
 
 from .mvn_cdf import MvnEstimate, MvnQuery, _check_accuracy
 from .mvn_cdf import cdf as _mvn_cdf
-from .pd_matrix import PdMatrix
+from .pd_matrix import PdMatrix, _checked_variances
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # the trapezoid window [-W, W] in the mixing variable; the integrand is at
@@ -135,11 +135,7 @@ def shared_noise_cov(sigma2: float, v) -> PdMatrix:
     Every off-diagonal entry is sigma2 and the diagonal is v_r^2 + sigma2;
     the rank-1-plus-diagonal structure is PD for any positive inputs.
     """
-    if not math.isfinite(sigma2) or sigma2 <= 0.0:
-        raise ValueError(f"sigma2 must be positive and finite, got {sigma2!r}")
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.ndim != 1 or v.size < 1 or not np.all(np.isfinite(v)) or not np.all(v > 0.0):
-        raise ValueError("v must be a non-empty vector of positive finite reals")
+    v = _checked_variances(sigma2, v)
     n = v.size
     # float, so that an integer sigma2 cannot truncate the diagonal
     entries = np.full((n, n), float(sigma2))

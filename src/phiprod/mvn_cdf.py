@@ -78,7 +78,10 @@ def _check_accuracy(accuracy: float) -> None:
 
 
 def _as_count(name: str, value) -> int:
-    """An integer argument (a sample or draw count) as an int; ValueError otherwise."""
+    """An integer argument (a count or an index) as an int; ValueError otherwise,
+    and for bools, which would read True as 1 and a mask as the indices 0 and 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, not a bool, got {value!r}")
     try:
         return operator.index(value)
     except TypeError:

@@ -7,7 +7,8 @@ shares no code with the path under test:
   CDF and the scalar-mixing CDF product integral. Its nodes and weights are
   the tabulated constants of QUADPACK's dqk15, because Kronrod nodes have
   no simple recurrence; the tests certify them against numpy's
-  Gauss-Legendre rule and polynomial exactness. ``scipy.integrate`` is not
+  Gauss-Legendre rule and polynomial exactness. One work-list loop,
+  ``_pieces``, adapts the rule for all three. ``scipy.integrate`` is not
   imported here: the rule is a few lines, and the import alone would add
   about 18 MB to ``verify``.
 * Plain Monte Carlo for the vector-mixing integral and for raw MVN
@@ -102,6 +103,14 @@ def cdf_product_scalar_quad(params: ScalarMixParams, order: int = 200) -> float:
     return float(w @ np.prod(factors, axis=1)) / _SQRT_PI
 
 
+def _as_draws(draws) -> int:
+    """A Monte Carlo oracle's draw count, an integer of at least 1e4."""
+    draws = _as_count("draws", draws)
+    if draws < 10_000:
+        raise ValueError(f"draws must be >= 1e4, got {draws!r}")
+    return draws
+
+
 def cdf_product_vector_mc(params: VectorMixParams, draws: int = 1_000_000,
                           seed: int = 0) -> tuple[float, float]:
     """Monte Carlo value of E[prod_r Phi((x_r - m_r)/v_r)], x ~ N(mu, Sigma).
@@ -110,9 +119,7 @@ def cdf_product_vector_mc(params: VectorMixParams, draws: int = 1_000_000,
     chunks so memory stays bounded and the result is independent of chunk
     partitioning for a given seed.
     """
-    draws = _as_count("draws", draws)
-    if draws < 10_000:
-        raise ValueError(f"draws must be >= 1e4, got {draws!r}")
+    draws = _as_draws(draws)
     rng = np.random.default_rng(seed % (1 << 63))
     # row r of scaled @ z.T + offset is (x_r - m_r) / v_r for x = mu + L z
     scaled = params.sigma.chol / params.v[:, None]
@@ -141,9 +148,7 @@ def mvn_mc(query: MvnQuery, draws: int = 1_000_000, seed: int = 0) -> tuple[floa
 
     Returns (estimate, standard error) from the indicator fraction.
     """
-    draws = _as_count("draws", draws)
-    if draws < 10_000:
-        raise ValueError(f"draws must be >= 1e4, got {draws!r}")
+    draws = _as_draws(draws)
     rng = np.random.default_rng(seed % (1 << 63))
     chol_t = query.cov.chol.T
     hits = 0
@@ -203,31 +208,6 @@ def _kronrod_panel(f: Callable[[float], float], a: float, b: float) -> tuple[flo
     return half * kronrod, abs(half * (kronrod - gauss))
 
 
-def _adaptive(f: Callable[[float], float], a: float, b: float, tol: float,
-              depth: int) -> float:
-    value, err = _kronrod_panel(f, a, b)
-    if err <= tol:
-        return value
-    if depth <= 0:
-        raise QuadratureDepthError(value)
-    mid = 0.5 * (a + b)
-    half_tol = 0.5 * tol
-    # accumulate sibling contributions into the partial estimate so a
-    # depth failure still reports the whole-interval value
-    try:
-        left_val = _adaptive(f, a, mid, half_tol, depth - 1)
-    except QuadratureDepthError as exc:
-        try:
-            right_val = _adaptive(f, mid, b, half_tol, depth - 1)
-        except QuadratureDepthError as exc_right:
-            raise QuadratureDepthError(exc.partial + exc_right.partial) from None
-        raise QuadratureDepthError(exc.partial + right_val) from None
-    try:
-        return left_val + _adaptive(f, mid, b, half_tol, depth - 1)
-    except QuadratureDepthError as exc:
-        raise QuadratureDepthError(left_val + exc.partial) from None
-
-
 def adaptive_quad_1d(f: Callable[[float], float], a: float, b: float,
                      tol: float = 1e-12) -> float:
     """Adaptive Gauss-Kronrod (G7-K15) quadrature of ``f`` on [a, b].
@@ -236,23 +216,13 @@ def adaptive_quad_1d(f: Callable[[float], float], a: float, b: float,
     its share of the absolute tolerance ``tol``; otherwise it is bisected
     and each half gets half the share. The plain difference, not QUADPACK's
     (200 |K15 - G7|)^1.5 rescaling, is the acceptance test, so every
-    accepted panel's error bound is conservative. ``scipy.integrate.quad``
-    is not used because importing it would add about 18 MB and 0.2 s to
-    every ``verify`` run.
+    accepted panel's error bound is conservative.
 
-    Signed like the usual integral (swapping a and b negates the result).
-    Raises :class:`QuadratureDepthError` with the partial estimate attached
-    if refinement exceeds the depth limit.
+    Signed like the usual integral (swapping a and b negates the result,
+    up to rounding). Raises :class:`QuadratureDepthError` with the partial
+    estimate attached if refinement exceeds the depth limit.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integration limits must be finite")
-    if tol < _MIN_QUAD_TOL:
-        raise ValueError(f"tol must be >= {_MIN_QUAD_TOL:g}, got {tol!r}")
-    if a == b:
-        return 0.0
-    if b < a:
-        return -adaptive_quad_1d(f, b, a, tol)
-    return _adaptive(f, a, b, tol, _MAX_QUAD_DEPTH)
+    return _pieces(f, (a, b), tol)
 
 
 def owen_t_integrand(h: float) -> Callable[[float], float]:
@@ -264,25 +234,33 @@ def owen_t_integrand(h: float) -> Callable[[float], float]:
 
 
 def _pieces(f: Callable[[float], float], breaks, tol: float) -> float:
-    """Sum of adaptive rules over the consecutive pieces of ``breaks``.
+    """Adaptive G7-K15 quadrature over the nonempty pieces of ``breaks``.
 
-    Each piece gets a share of ``tol`` in proportion to its length; ``tol``
-    itself must be at least the floor of :func:`adaptive_quad_1d`, and the
-    shares may go below it. Like sibling panels in ``_adaptive``, a piece
-    that hits the depth limit adds its partial sum and the other pieces
-    still run.
+    The ends must be finite; decreasing ``breaks`` give the negated
+    integral. Each piece gets a share of ``tol`` (at least 1e-13) in
+    proportion to its length. Panels are popped from a work list leftmost
+    first. A failing panel at the depth limit adds its value anyway, and
+    once all have run the sum is raised as :class:`QuadratureDepthError`.
     """
+    if not (math.isfinite(breaks[0]) and math.isfinite(breaks[-1])):
+        raise ValueError("integration limits must be finite")
     if tol < _MIN_QUAD_TOL:
         raise ValueError(f"tol must be >= {_MIN_QUAD_TOL:g}, got {tol!r}")
     span = breaks[-1] - breaks[0]
+    # (a, b, share of tol, depth left); the next panel is last
+    work = [(lo, hi, tol * (hi - lo) / span, _MAX_QUAD_DEPTH)
+            for lo, hi in zip(breaks[:-1], breaks[1:]) if lo != hi][::-1]
     total = 0.0
     failed = False
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        try:
-            total += _adaptive(f, lo, hi, tol * (hi - lo) / span, _MAX_QUAD_DEPTH)
-        except QuadratureDepthError as exc:
-            total += exc.partial
-            failed = True
+    while work:
+        a, b, share, depth = work.pop()
+        value, err = _kronrod_panel(f, a, b)
+        if err <= share or depth <= 0:
+            total += value
+            failed = failed or err > share
+        else:
+            mid = 0.5 * (a + b)
+            work += [(mid, b, 0.5 * share, depth - 1), (a, mid, 0.5 * share, depth - 1)]
     if failed:
         raise QuadratureDepthError(total)
     return total
@@ -298,10 +276,8 @@ def cdf_product_scalar_adaptive(params: ScalarMixParams,
     w_r + {0, +-2, +-8} v_r/s, clipped to the window, so that no panel steps
     over a narrow rise. ``tol`` is the absolute tolerance, at least 1e-13.
     Returns (value, certificate): the certificate is ``tol`` plus the mass
-    2 Phi(-9) outside the window.
-
-    Raises :class:`QuadratureDepthError` with the partial estimate attached
-    if refinement exceeds the depth limit.
+    2 Phi(-9) outside the window. Raises :class:`QuadratureDepthError` as
+    :func:`adaptive_quad_1d` does.
     """
     s = math.sqrt(params.sigma2)
     offset = params.mu - params.m
@@ -325,8 +301,6 @@ def bivariate_cdf_quad(h: float, k: float, rho: float, tol: float = 1e-13) -> fl
     on [h - 40, h] can place every node where mass that is narrow near h has
     already died off, and then pass |K15 - G7| on almost nothing.
     """
-    if not math.isfinite(h):
-        raise ValueError("integration limits must be finite")
     root = math.sqrt((1.0 - rho) * (1.0 + rho))
 
     def f(x: float) -> float:

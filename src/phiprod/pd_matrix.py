@@ -261,6 +261,16 @@ class PrecisionBlocks:
         return self.b.shape[0]
 
 
+def _checked_variances(sigma2: float, v) -> np.ndarray:
+    """``v`` as a float vector, once sigma2 and every v_r are positive and finite."""
+    if not math.isfinite(sigma2) or sigma2 <= 0.0:
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2!r}")
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.ndim != 1 or v.size < 1 or not np.all(np.isfinite(v)) or not np.all(v > 0.0):
+        raise ValueError("v must be a non-empty vector of positive finite reals")
+    return v
+
+
 def precision_blocks_from_variances(sigma2: float, v) -> PrecisionBlocks:
     """Precision blocks of the joint scalar-plus-offsets Gaussian model.
 
@@ -268,11 +278,7 @@ def precision_blocks_from_variances(sigma2: float, v) -> PrecisionBlocks:
     variances v_r^2 has joint precision with corner sum(1/v^2) + 1/sigma2,
     coupling row 1/v^2 and diagonal block 1/v^2.
     """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if sigma2 <= 0.0 or not math.isfinite(sigma2):
-        raise ValueError(f"sigma2 must be positive and finite, got {sigma2!r}")
-    if v.ndim != 1 or v.size < 1 or not np.all(np.isfinite(v)) or not np.all(v > 0.0):
-        raise ValueError("v must be a non-empty vector of positive finite reals")
+    v = _checked_variances(sigma2, v)
     inv_v2 = 1.0 / (v * v)
     return PrecisionBlocks(a=float(np.sum(inv_v2)) + 1.0 / sigma2, b=inv_v2, d_diag=inv_v2)
 

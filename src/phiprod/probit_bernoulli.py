@@ -61,14 +61,6 @@ class SignVector:
         return SignVector(tuple(-s for s in self.signs))
 
 
-def _as_index(value) -> int:
-    """A coordinate index as an int; ValueError for non-integers and for bools,
-    which would read a mask as the indices 0 and 1."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"keep indices must be integers, not bools, got {value!r}")
-    return _as_count("keep index", value)
-
-
 class ProbitBernoulli:
     """Sign-vector distribution induced by probit trials on a latent Gaussian."""
 
@@ -193,7 +185,7 @@ class ProbitBernoulli:
         Cholesky factor is computed, with the full pivot check, when first
         read (by :meth:`sample`), never by :meth:`pmf`.
         """
-        requested = [_as_index(i) for i in keep]
+        requested = [_as_count("keep index", i) for i in keep]
         idx = sorted(set(requested))
         if len(idx) == 0:
             raise ValueError("keep must be a non-empty index set")

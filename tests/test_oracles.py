@@ -211,15 +211,17 @@ class TestAdaptiveQuadrature:
         from phiprod.gauss_scalar import owen_t
         assert got == pytest.approx(owen_t(0.5, 0.8), abs=1e-11)
 
-    def test_depth_exhaustion_carries_partial(self):
+    @pytest.mark.parametrize("a, b, sign", [(0.0, 1.0, 1.0), (1.0, 0.0, -1.0)],
+                             ids=["forward", "reversed"])
+    def test_depth_exhaustion_carries_partial(self, a, b, sign):
         jump = 1.0 / math.sqrt(2.0)
 
         def f(x: float) -> float:
             return 0.0 if x < jump else 1.0
 
         with pytest.raises(oracles.QuadratureDepthError) as info:
-            oracles.adaptive_quad_1d(f, 0.0, 1.0, 1e-13)
-        assert abs(info.value.partial - (1.0 - jump)) <= 1e-3
+            oracles.adaptive_quad_1d(f, a, b, 1e-13)
+        assert abs(info.value.partial - sign * (1.0 - jump)) <= 1e-3
 
     def test_tolerance_floor(self):
         with pytest.raises(ValueError):

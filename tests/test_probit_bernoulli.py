@@ -340,8 +340,9 @@ class TestSample:
 
     def test_count_must_be_an_integer(self, sign_fixture):
         d = ProbitBernoulli(*sign_fixture)
-        with pytest.raises(ValueError, match="count must be an integer"):
-            d.sample(1e3)
+        for count in (1e3, True):
+            with pytest.raises(ValueError, match="count must be an integer"):
+                d.sample(count)
 
 
 class TestNormalization:

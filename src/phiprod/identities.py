@@ -45,7 +45,7 @@ from scipy.special import ndtr
 
 from .mvn_cdf import MvnEstimate, MvnQuery, _check_accuracy
 from .mvn_cdf import cdf as _mvn_cdf
-from .pd_matrix import PdMatrix, _checked_variances
+from .pd_matrix import PdMatrix, _checked_variances, _frozen_vector
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # the trapezoid window [-W, W] in the mixing variable; the integrand is at
@@ -66,20 +66,6 @@ __all__ = [
 ]
 
 
-def _check_m_v(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = np.atleast_1d(np.array(m, dtype=float))
-    v = np.atleast_1d(np.array(v, dtype=float))
-    if m.ndim != 1 or v.shape != m.shape or m.size < 1:
-        raise ValueError("m and v must be 1-d vectors of equal positive length")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("m entries must be finite")
-    if not np.all(np.isfinite(v)) or not np.all(v > 0.0):
-        raise ValueError("v entries must be positive and finite")
-    m.flags.writeable = False
-    v.flags.writeable = False
-    return m, v
-
-
 @dataclass(frozen=True, eq=False)
 class ScalarMixParams:
     """(mu, sigma2, m, v) for the scalar-mixing CDF product expectation."""
@@ -92,10 +78,8 @@ class ScalarMixParams:
     def __post_init__(self):
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu!r}")
-        if not math.isfinite(self.sigma2) or self.sigma2 <= 0.0:
-            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2!r}")
-        m, v = _check_m_v(self.m, self.v)
-        object.__setattr__(self, "m", m)
+        v = _checked_variances(self.sigma2, self.v)
+        object.__setattr__(self, "m", _frozen_vector("m", self.m, v.size))
         object.__setattr__(self, "v", v)
 
     @property
@@ -113,16 +97,10 @@ class VectorMixParams:
     v: np.ndarray
 
     def __post_init__(self):
-        mu = np.atleast_1d(np.array(self.mu, dtype=float))
-        m, v = _check_m_v(self.m, self.v)
-        if mu.shape != m.shape or self.sigma.dim != m.size:
-            raise ValueError("mu, m, v and sigma dimensions must agree")
-        if not np.all(np.isfinite(mu)):
-            raise ValueError("mu entries must be finite")
-        mu.flags.writeable = False
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "v", v)
+        n = self.sigma.dim
+        object.__setattr__(self, "mu", _frozen_vector("mu", self.mu, n))
+        object.__setattr__(self, "m", _frozen_vector("m", self.m, n))
+        object.__setattr__(self, "v", _frozen_vector("v", self.v, n, positive=True))
 
     @property
     def n(self) -> int:
@@ -135,7 +113,11 @@ def shared_noise_cov(sigma2: float, v) -> PdMatrix:
     Every off-diagonal entry is sigma2 and the diagonal is v_r^2 + sigma2;
     the rank-1-plus-diagonal structure is PD for any positive inputs.
     """
-    v = _checked_variances(sigma2, v)
+    return _shared_noise_cov(sigma2, _checked_variances(sigma2, v))
+
+
+def _shared_noise_cov(sigma2: float, v: np.ndarray) -> PdMatrix:
+    """:func:`shared_noise_cov` of a sigma2 and a float vector v already checked."""
     n = v.size
     # float, so that an integer sigma2 cannot truncate the diagonal
     entries = np.full((n, n), float(sigma2))
@@ -149,7 +131,7 @@ def scalar_mix_query(params: ScalarMixParams, accuracy: float = 1e-6) -> MvnQuer
     return MvnQuery(
         upper=np.full(params.n, params.mu),
         mean=params.m,
-        cov=shared_noise_cov(params.sigma2, params.v),
+        cov=_shared_noise_cov(params.sigma2, params.v),
         accuracy=accuracy,
     )
 

@@ -31,11 +31,11 @@ three paths:
   saddle-point equations of psi(x, mu) by Newton steps, and exp(psi*) is an
   upper bound on the probability (within about 10% of it on sign
   orthants). The estimate is unbiased for any mu, so mu = 0 (the plain
-  integrand) is used when the solve fails and when
-  accuracy < 1e-5 * exp(psi*): there the probability is large next to the
-  accuracy and the plain integrand needs fewer points. Tilting keeps the
-  relative error of small (tail) probabilities bounded, where the plain
-  integrand's error bar is itself unreliable.
+  integrand) is used when the solve fails or the tilted sums are not
+  finite, and when accuracy < 1e-5 * exp(psi*): there the probability is
+  large next to the accuracy and the plain integrand needs fewer points.
+  Tilting keeps the relative error of small (tail) probabilities bounded,
+  where the plain integrand's error bar is itself unreliable.
 
 Components with an upper limit of +inf are marginalized away exactly
 before any transform. Results are bit-reproducible for a fixed seed.
@@ -52,7 +52,7 @@ from scipy.special import log_ndtr, ndtr, ndtri
 
 from .gauss_scalar import cdf as _scalar_cdf
 from .gauss_scalar import owen_t
-from .pd_matrix import PdMatrix, _pivot_root, _pivot_threshold
+from .pd_matrix import PdMatrix, _frozen_vector, _pivot_root, _pivot_threshold
 
 __all__ = ["MvnQuery", "MvnEstimate", "cdf", "bivariate_cdf"]
 
@@ -86,6 +86,11 @@ def _as_count(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _rng(seed: int, *stream: int) -> np.random.Generator:
+    """default_rng of ``seed`` mod 2^63, on sub-stream ``stream`` if given."""
+    return np.random.default_rng([seed % (1 << 63), *stream])
 
 
 @dataclass(frozen=True)
@@ -141,28 +146,18 @@ class MvnQuery:
     max_samples: int = _DEFAULT_MAX_SAMPLES
 
     def __post_init__(self):
-        # one fresh copy each, so the caller's arrays stay theirs; the entry
-        # tests run on Python floats, which is cheaper than a numpy reduction
-        # at the small N of the exact paths
-        upper = np.array(self.upper, dtype=float, ndmin=1)
-        mean = np.array(self.mean, dtype=float, ndmin=1)
+        upper = _frozen_vector("upper", self.upper, allow_inf=True)
+        mean = _frozen_vector("mean", self.mean)
         n = self.cov.dim
         if upper.shape != (n,) or mean.shape != (n,):
             raise ValueError(
                 f"upper/mean must have shape ({n},) matching cov, got "
                 f"{upper.shape} and {mean.shape}"
             )
-        # nan and -inf are the entries that are not above -inf
-        if not all(map((-math.inf).__lt__, upper.tolist())):
-            raise ValueError("upper entries must be finite or +inf")
-        if not all(map(math.isfinite, mean.tolist())):
-            raise ValueError("mean entries must be finite")
         _check_accuracy(self.accuracy)
         max_samples = _as_count("max_samples", self.max_samples)
         if max_samples < _N_SHIFTS:
             raise ValueError("max_samples is too small for 12 shifts")
-        upper.flags.writeable = False
-        mean.flags.writeable = False
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "max_samples", max_samples)
@@ -261,7 +256,8 @@ def _embedded_lattice_estimate(chol: np.ndarray, b: np.ndarray, tilt: np.ndarray
     """Double the level from _MIN_LATTICE up to n_max until the error bar
     meets ``accuracy``, evaluating each lattice point once.
 
-    Returns (estimate, 3 * standard error, final per-shift level).
+    Returns (estimate, 3 * standard error, final per-shift level), at once if
+    the error bar is not finite.
     """
     e_first = float(ndtr(b[0] / chol[0, 0] - tilt[0]))
     n_points = _MIN_LATTICE
@@ -271,7 +267,7 @@ def _embedded_lattice_estimate(chol: np.ndarray, b: np.ndarray, tilt: np.ndarray
         sums += _genz_shift_sums(chol, b, e_first, _lattice_points(indices, z, n_max),
                                  shifts, tilt)
         value, err = _shift_estimate(sums / n_points)
-        if err <= accuracy or n_points == n_max:
+        if err <= accuracy or n_points == n_max or not math.isfinite(err):
             return value, err, n_points
         n_points *= 2
         step = n_max // n_points
@@ -393,16 +389,21 @@ def _qmc_cdf(b: np.ndarray, cov: np.ndarray, labels: np.ndarray, accuracy: float
     per_shift_cap = max(max_samples // _N_SHIFTS, _MIN_LATTICE)
     n_max = _MIN_LATTICE << ((per_shift_cap // _MIN_LATTICE).bit_length() - 1)
     dim = b.shape[0] - 1
-    shifts = np.random.default_rng(seed % (1 << 63)).random((_N_SHIFTS, dim))
+    shifts = _rng(seed).random((_N_SHIFTS, dim))
     # tilt only where the bound exp(psi*) on the probability is small next to
     # the accuracy asked for; for larger probabilities the plain integrand
     # needs fewer points
     tilt, psi = _minimax_tilt(chol, b)
     tilted = psi <= math.log(accuracy / _TILT_CROSSOVER)
+    lattice = (_korobov_vector(n_max, dim), shifts, n_max, accuracy)
+    if tilted:
+        # deep in a tail the weights can overflow where the factors underflow
+        # (inf * 0 = nan); the plain integrand, as after a failed solve, cannot
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, err, n_points = _embedded_lattice_estimate(chol, b, tilt, *lattice)
+        tilted = math.isfinite(err)
     if not tilted:
-        tilt = np.zeros_like(b)
-    value, err, n_points = _embedded_lattice_estimate(
-        chol, b, tilt, _korobov_vector(n_max, dim), shifts, n_max, accuracy)
+        value, err, n_points = _embedded_lattice_estimate(chol, b, np.zeros_like(b), *lattice)
     return MvnEstimate(min(max(value, 0.0), 1.0), err, "qmc_genz",
                        n_points=n_points, converged=err <= accuracy, order=order,
                        tilted=tilted)

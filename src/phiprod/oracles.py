@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import ndtr, roots_hermite
 
 from .identities import ScalarMixParams, VectorMixParams
-from .mvn_cdf import MvnQuery, _as_count
+from .mvn_cdf import MvnQuery, _as_count, _rng
 
 __all__ = [
     "QuadratureDepthError",
@@ -44,6 +44,7 @@ __all__ = [
     "adaptive_quad_1d",
     "owen_t_integrand",
     "bivariate_cdf_quad",
+    "mc_threshold",
 ]
 
 # draws per Monte Carlo chunk; a chunk's arrays stay cache-sized
@@ -53,8 +54,8 @@ _INV_2PI = 1.0 / (2.0 * math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _MIN_QUAD_TOL = 1e-13
 _MAX_QUAD_DEPTH = 50
-# offsets from h of the pieces of the bivariate oracle's range
-_BIVARIATE_BREAKS = (-40.0, -8.0, -2.0, 0.0)
+# offsets from h of the upper pieces of the bivariate oracle's range
+_BIVARIATE_BREAKS = (-8.0, -2.0, 0.0)
 # the scalar oracle's window in w ~ N(0, 1), and the breakpoints around each
 # factor's rise, in units of its width v_r / s
 _SCALAR_HALF_WIDTH = 9.0
@@ -103,6 +104,12 @@ def cdf_product_scalar_quad(params: ScalarMixParams, order: int = 200) -> float:
     return float(w @ np.prod(factors, axis=1)) / _SQRT_PI
 
 
+def mc_threshold(std_error: float, err_estimate: float) -> float:
+    """3 sqrt(std_error^2 + (err_estimate / 3)^2): the largest gap at which an
+    estimate with a 3-SE bar ``err_estimate`` agrees with a Monte Carlo value."""
+    return 3.0 * math.sqrt(std_error * std_error + (err_estimate / 3.0) ** 2)
+
+
 def _as_draws(draws) -> int:
     """A Monte Carlo oracle's draw count, an integer of at least 1e4."""
     draws = _as_count("draws", draws)
@@ -120,7 +127,7 @@ def cdf_product_vector_mc(params: VectorMixParams, draws: int = 1_000_000,
     partitioning for a given seed.
     """
     draws = _as_draws(draws)
-    rng = np.random.default_rng(seed % (1 << 63))
+    rng = _rng(seed)
     # row r of scaled @ z.T + offset is (x_r - m_r) / v_r for x = mu + L z
     scaled = params.sigma.chol / params.v[:, None]
     offset = ((params.mu - params.m) / params.v)[:, None]
@@ -149,7 +156,7 @@ def mvn_mc(query: MvnQuery, draws: int = 1_000_000, seed: int = 0) -> tuple[floa
     Returns (estimate, standard error) from the indicator fraction.
     """
     draws = _as_draws(draws)
-    rng = np.random.default_rng(seed % (1 << 63))
+    rng = _rng(seed)
     chol_t = query.cov.chol.T
     hits = 0
     remaining = draws
@@ -295,15 +302,17 @@ def cdf_product_scalar_adaptive(params: ScalarMixParams,
 def bivariate_cdf_quad(h: float, k: float, rho: float, tol: float = 1e-13) -> float:
     """Bivariate normal CDF by conditioning + adaptive quadrature.
 
-    Integrates phi(x) Phi((k - rho x)/sqrt(1-rho^2)) for x in [h - 40, h];
-    shares no code with the Owen's T construction it is used to check. The
-    range is split at h - 8 and h - 2 before adapting: a single first panel
-    on [h - 40, h] can place every node where mass that is narrow near h has
-    already died off, and then pass |K15 - G7| on almost nothing.
+    Integrates phi(x) Phi((k - rho x)/sqrt(1-rho^2)) for x in [min(h, 0) - 40,
+    t], t = min(h, 40) (phi is 0 in floating point past 39); shares no code
+    with the Owen's T construction it is used to check. The range is split at
+    t - 8 and t - 2 before adapting: a single first panel can place every
+    node where mass that is narrow near h has already died off, and then
+    pass |K15 - G7| on almost nothing.
     """
     root = math.sqrt((1.0 - rho) * (1.0 + rho))
 
     def f(x: float) -> float:
         return _INV_SQRT_2PI * math.exp(-0.5 * x * x) * float(ndtr((k - rho * x) / root))
 
-    return _pieces(f, [h + b for b in _BIVARIATE_BREAKS], tol)
+    top = min(h, 40.0)
+    return _pieces(f, [min(h, 0.0) - 40.0] + [top + b for b in _BIVARIATE_BREAKS], tol)

@@ -110,6 +110,28 @@ def _cholesky_lower(entries: np.ndarray) -> np.ndarray:
     return chol
 
 
+def _frozen_vector(name: str, values, dim: int | None = None, *,
+                   positive: bool = False, allow_inf: bool = False) -> np.ndarray:
+    """``values`` as a read-only float copy, which leaves the caller's array
+    theirs; ValueError unless its shape is (dim,) (any, when dim is None and
+    the caller checks it) and each entry is finite, or +inf with
+    ``allow_inf``, and above 0 with ``positive``. The entries are tested as
+    Python floats, cheaper than a numpy reduction at the small N of the
+    exact paths."""
+    vec = np.array(values, dtype=float, ndmin=1)
+    if dim is not None and vec.shape != (dim,):
+        raise ValueError(f"{name} has shape {vec.shape}, expected ({dim},)")
+    entries = (vec if vec.ndim == 1 else vec.ravel()).tolist()
+    # nan and -inf are the entries that are not above -inf
+    finite = (-math.inf).__lt__ if allow_inf else math.isfinite
+    if not all(map(finite, entries)) or positive and not all(map((0.0).__lt__, entries)):
+        rule = ("positive and finite" if positive
+                else "finite or +inf" if allow_inf else "finite")
+        raise ValueError(f"{name} entries must be {rule}")
+    vec.setflags(write=False)
+    return vec
+
+
 class PdMatrix:
     """Immutable SPD matrix with its lower Cholesky factor.
 
@@ -241,18 +263,14 @@ class PrecisionBlocks:
     d_diag: np.ndarray
 
     def __post_init__(self):
-        b = np.atleast_1d(np.array(self.b, dtype=float))
-        d = np.atleast_1d(np.array(self.d_diag, dtype=float))
+        b = _frozen_vector("b", self.b)
+        d = _frozen_vector("d_diag", self.d_diag, positive=True)
         if b.ndim != 1 or d.shape != b.shape:
             raise ValueError("b and d_diag must be 1-d with matching length")
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(d)) and math.isfinite(self.a)):
-            raise ValueError("precision blocks must be finite")
-        if not np.all(d > 0.0):
-            raise ValueError("d_diag entries must be positive")
+        if not math.isfinite(self.a):
+            raise ValueError(f"a must be finite, got {self.a!r}")
         if not self.a - float(b @ (b / d)) > 0.0:
             raise ValueError("scalar Schur complement a - sum(b^2/d) must be positive")
-        b.flags.writeable = False
-        d.flags.writeable = False
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d_diag", d)
 
@@ -262,12 +280,13 @@ class PrecisionBlocks:
 
 
 def _checked_variances(sigma2: float, v) -> np.ndarray:
-    """``v`` as a float vector, once sigma2 and every v_r are positive and finite."""
+    """``v`` as a read-only float vector, once sigma2 and each v_r are positive
+    and finite."""
     if not math.isfinite(sigma2) or sigma2 <= 0.0:
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2!r}")
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.ndim != 1 or v.size < 1 or not np.all(np.isfinite(v)) or not np.all(v > 0.0):
-        raise ValueError("v must be a non-empty vector of positive finite reals")
+    v = _frozen_vector("v", v, positive=True)
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError(f"v must be a non-empty vector, got shape {v.shape}")
     return v
 
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauss_scalar import cdf as _scalar_cdf
-from .mvn_cdf import MvnEstimate, MvnQuery, _as_count
+from .mvn_cdf import MvnEstimate, MvnQuery, _as_count, _rng
 from .mvn_cdf import cdf as _mvn_cdf
-from .pd_matrix import PdMatrix
+from .pd_matrix import PdMatrix, _frozen_vector
 
 __all__ = ["SignVector", "ProbitBernoulli"]
 
@@ -65,15 +65,7 @@ class ProbitBernoulli:
     """Sign-vector distribution induced by probit trials on a latent Gaussian."""
 
     def __init__(self, mu, sigma: PdMatrix):
-        mu = np.array(mu, dtype=float, ndmin=1)
-        if mu.shape != (sigma.dim,):
-            raise ValueError(
-                f"mu has shape {mu.shape}, expected ({sigma.dim},) to match sigma"
-            )
-        if not all(map(math.isfinite, mu.tolist())):
-            raise ValueError("mu entries must be finite")
-        mu.flags.writeable = False
-        self._mu = mu
+        self._mu = _frozen_vector("mu", mu, sigma.dim)
         self._sigma = sigma
 
     @classmethod
@@ -136,7 +128,7 @@ class ProbitBernoulli:
         count = _as_count("count", count)
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count!r}")
-        rng = np.random.default_rng(seed % (1 << 63))
+        rng = _rng(seed)
         # all latent normals first, then all noise, as one draw each would
         # take them: standard_normal fills its output in sequence, so the
         # noise drawn chunk by chunk is the same stream

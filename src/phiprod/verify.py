@@ -19,7 +19,7 @@ from . import oracles, pd_matrix
 from .gauss_scalar import cdf, inv_cdf, owen_t, phi
 from .identities import ScalarMixParams, VectorMixParams, cdf_product_scalar, \
     cdf_product_vector, scalar_mix_query, shared_noise_cov
-from .mvn_cdf import MvnQuery, _check_accuracy, cdf as mvn_cdf_eval
+from .mvn_cdf import MvnQuery, _check_accuracy, _rng, cdf as mvn_cdf_eval
 from .pd_matrix import PdMatrix
 from .probit_bernoulli import ProbitBernoulli, SignVector
 
@@ -103,7 +103,7 @@ def _suite_scalar(trials: int, seed: int, accuracy: float, perturb: float):
 
 def _suite_matrix(trials: int, seed: int, accuracy: float, perturb: float):
     del accuracy
-    rng = np.random.default_rng([seed % (1 << 63), 1])
+    rng = _rng(seed, 1)
 
     worst = 0.0
     for _ in range(_scaled(200, trials)):
@@ -163,7 +163,7 @@ def _draw_scalar_params(rng: np.random.Generator, max_n: int = 5) -> ScalarMixPa
 
 
 def _suite_identity_scalar(trials: int, seed: int, accuracy: float, perturb: float):
-    rng = np.random.default_rng([seed % (1 << 63), 2])
+    rng = _rng(seed, 2)
 
     # the MVN reduction itself is checked against adaptive quadrature, and
     # the one-factor route that cdf_product_scalar takes is checked against
@@ -229,7 +229,7 @@ def _suite_identity_scalar(trials: int, seed: int, accuracy: float, perturb: flo
 
 
 def _suite_identity_vector(trials: int, seed: int, accuracy: float, perturb: float):
-    rng = np.random.default_rng([seed % (1 << 63), 3])
+    rng = _rng(seed, 3)
     draws = max(trials // 2, 1)
 
     excursions = 0
@@ -244,8 +244,8 @@ def _suite_identity_vector(trials: int, seed: int, accuracy: float, perturb: flo
         )
         est = cdf_product_vector(params, accuracy=accuracy, seed=seed + i)
         mc, se = oracles.cdf_product_vector_mc(params, draws=1_000_000, seed=seed + i)
-        combined = math.sqrt(se * se + (est.err_estimate / 3.0) ** 2)
-        ratio = abs(est.value + perturb - mc) / max(3.0 * combined, 1e-300)
+        threshold = oracles.mc_threshold(se, est.err_estimate)
+        ratio = abs(est.value + perturb - mc) / max(threshold, 1e-300)
         worst_ratio = max(worst_ratio, ratio)
         if ratio > 1.0:
             excursions += 1
@@ -310,7 +310,7 @@ def _sign_pattern_counts(draws: np.ndarray) -> list[int]:
 
 
 def _suite_bernoulli(trials: int, seed: int, accuracy: float, perturb: float):
-    rng = np.random.default_rng([seed % (1 << 63), 4])
+    rng = _rng(seed, 4)
 
     worst = 0.0
     passed = True

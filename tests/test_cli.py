@@ -120,6 +120,23 @@ class TestVectorCommand:
         assert code == 0
         assert payload["oracle"]["pass"] is True
 
+    def test_json_of_a_deep_tail_is_strict_json(self, capsys, tmp_path):
+        # the tilted QMC sums of this query are nan; json.dumps would print
+        # that as the bare token NaN, which no strict JSON reader accepts
+        path = tmp_path / "strong.json"
+        path.write_text(json.dumps({"dim": 3, "entries": [
+            [1.0, -0.485, -0.699], [-0.485, 1.0, -0.183], [-0.699, -0.183, 1.0]]}),
+            encoding="utf-8")
+        code = main(["vector", "--mu=-1.07,-2.58,-2.66", "--m", "0,0,0",
+                     "--v", "0.01,0.01,0.01", "--cov", str(path), "--json"])
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert code == 0
+        assert 0.0 <= payload["value"] <= 1e-50
+
     def test_missing_matrix_file(self, capsys):
         code = main(["vector", "--mu", "0", "--m", "0", "--v", "1",
                      "--cov", "/nonexistent/cov.json"])

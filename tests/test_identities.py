@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.special import ndtr
 
-from phiprod import identities, oracles
+from phiprod import identities, mvn_cdf as mvn_cdf_module, oracles, pd_matrix
 from phiprod.identities import (
     ScalarMixParams,
     VectorMixParams,
@@ -106,6 +106,34 @@ class TestScalarMix:
     def test_domain(self, kwargs):
         with pytest.raises(ValueError):
             ScalarMixParams(**kwargs)
+
+    def test_exact_path_checks_sigma2_and_v_only_in_the_params(self, monkeypatch):
+        # the (sigma2, v) check runs once, when the params are built; the N = 2
+        # call then checks only the vectors of the query it builds
+        checked, frozen = [], []
+        real_check, real_freeze = pd_matrix._checked_variances, pd_matrix._frozen_vector
+
+        def check(sigma2, v):
+            checked.append(sigma2)
+            return real_check(sigma2, v)
+
+        def freeze(name, *args, **kwargs):
+            frozen.append(name)
+            return real_freeze(name, *args, **kwargs)
+
+        for module in (pd_matrix, identities):
+            monkeypatch.setattr(module, "_checked_variances", check)
+        for module in (pd_matrix, identities, mvn_cdf_module):
+            monkeypatch.setattr(module, "_frozen_vector", freeze)
+        params = ScalarMixParams(mu=0.3, sigma2=1.2, m=[0.1, -0.4], v=[0.8, 1.1])
+        assert checked == [1.2] and frozen == ["v", "m"]
+        checked.clear()
+        frozen.clear()
+        est = cdf_product_scalar(params)
+        assert est.method == "bivariate_owen"
+        assert checked == [] and frozen == ["upper", "mean"]
+        assert est == mvn_cdf(MvnQuery(np.full(2, 0.3), params.m,
+                                       shared_noise_cov(1.2, params.v)))
 
 
 def _one_factor_quad(params: ScalarMixParams) -> tuple[float, float]:

@@ -1,10 +1,11 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtr, ndtri
@@ -502,6 +503,67 @@ class TestMinimaxTilt:
         assert 0.0 <= est.value <= 1.0
         assert est.value <= min(math.exp(psi), 1.0) + est.err_estimate
         assert cdf(q, seed=seed) == est
+
+
+# a deep tail under strong negative correlation: its true value is about
+# 9.14e-52 (three 30-digit nested quadratures agree to 7e-4 relative), and
+# the minimax-tilted sums are inf * 0 at every lattice point
+DEEP_TAIL_UPPER = [-1.07, -2.58, -2.66]
+DEEP_TAIL_COV = [[1.0, -0.485, -0.699], [-0.485, 1.0, -0.183], [-0.699, -0.183, 1.0]]
+
+
+@st.composite
+def _general_correlation_queries(draw):
+    """(upper, correlation matrix) at N = 3..8: A A^T plus a small jitter,
+    normalized, with A of 1..N columns, so the correlations are strong and of
+    either sign; limits uniform in [-4, 3]."""
+    n = draw(st.integers(3, 8))
+    rank = draw(st.integers(1, n))
+    jitter = draw(st.sampled_from([1e-3, 1e-2, 1e-1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, rank))
+    s = a @ a.T + jitter * np.eye(n)
+    d = 1.0 / np.sqrt(np.diagonal(s))
+    return rng.uniform(-4.0, 3.0, n).tolist(), (s * np.outer(d, d)).tolist()
+
+
+class TestGeneralCorrelation:
+    _CAP = 4096
+
+    @given(_general_correlation_queries(), st.integers(0, 2**32 - 1))
+    @example((DEEP_TAIL_UPPER, DEEP_TAIL_COV), 0)
+    @settings(max_examples=100, deadline=None)
+    def test_estimates_are_finite_and_honest_at_the_cap(self, query, seed):
+        upper, cov = query
+        n = len(upper)
+        q = MvnQuery(upper, np.zeros(n), PdMatrix.from_entries(n, cov), accuracy=1e-6,
+                     max_samples=12 * self._CAP)
+        est = cdf(q, seed=seed)
+        assert math.isfinite(est.value) and math.isfinite(est.err_estimate)
+        assert 0.0 <= est.value <= 1.0
+        assert est.converged == (est.err_estimate <= 1e-6)
+        assert est.converged or est.n_points == self._CAP
+
+    def test_deep_tail_falls_back_to_the_plain_integrand(self):
+        q = MvnQuery(DEEP_TAIL_UPPER, np.zeros(3), PdMatrix.from_entries(3, DEEP_TAIL_COV))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the failed tilted pass stays silent
+            est = cdf(q, seed=0)
+        assert 0.0 <= est.value <= 1e-50
+        assert est.converged and not est.tilted
+        assert est.n_points == mvn_cdf._MIN_LATTICE
+
+
+class TestSeedRule:
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**63 - 1, 2**63 + 11, -3])
+    def test_one_stream_per_seed_and_sub_stream(self, seed):
+        # every stochastic path draws through _rng; its streams are those the
+        # library drew before, default_rng(seed mod 2^63) and, with a
+        # sub-stream k, default_rng([seed mod 2^63, k])
+        plain = np.random.default_rng(seed % (1 << 63)).random(4)
+        assert np.array_equal(mvn_cdf._rng(seed).random(4), plain)
+        sub = np.random.default_rng([seed % (1 << 63), 3]).random(4)
+        assert np.array_equal(mvn_cdf._rng(seed, 3).random(4), sub)
 
 
 class TestQueryValidation:

@@ -161,6 +161,14 @@ class TestVectorMonteCarloOracle:
             oracles.cdf_product_vector_mc(params, draws=1e6)
 
 
+class TestMonteCarloVerdict:
+    def test_combines_the_two_standard_errors(self):
+        # a 3-SE bar of 1.2 is one SE of 0.4; with an MC SE of 0.3 the
+        # combined SE is 0.5, and the verdict allows three of them
+        assert oracles.mc_threshold(0.3, 1.2) == pytest.approx(1.5, rel=1e-14)
+        assert oracles.mc_threshold(0.0, 0.0) == 0.0
+
+
 class TestMvnMonteCarloOracle:
     def test_univariate(self):
         from phiprod.gauss_scalar import cdf as scalar_cdf
@@ -277,6 +285,13 @@ class TestBivariateQuadratureOracle:
         with pytest.raises(oracles.QuadratureDepthError) as info:
             oracles.bivariate_cdf_quad(h, k, rho)
         assert abs(info.value.partial - bivariate_cdf(h, k, rho)) <= 1e-9
+
+    @pytest.mark.parametrize("h", [35.0, 50.0, 1e3])
+    def test_large_h_keeps_the_mass_of_phi(self, h):
+        # a range of [h - 40, h] held no mass past h = 40: at h = 50 the
+        # oracle returned 1.3e-31 for 0.618, and at h = 35 it was off by 2.9e-7
+        gap = abs(oracles.bivariate_cdf_quad(h, 0.3, 0.5) - bivariate_cdf(h, 0.3, 0.5))
+        assert gap <= 1e-12
 
     def test_narrow_mass_near_the_upper_limit(self):
         # the integrand falls from 6e-12 at h to 7e-14 at the Kronrod node

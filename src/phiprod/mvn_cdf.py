@@ -175,9 +175,11 @@ def bivariate_cdf(h: float, k: float, rho: float) -> float:
         Phi2 = [Phi(h) + Phi(k)]/2 - T(h, (k/h - rho)/sqrt(1-rho^2))
                                    - T(k, (h/k - rho)/sqrt(1-rho^2)) - delta
 
-    with delta = 1/2 when h k < 0, and the limiting form
+    with delta = 1/2 when h and k have opposite signs, and the limiting form
     Phi2(0, k, rho) = Phi(k)/2 + T(k, rho/sqrt(1-rho^2)) on the axes
-    (h = k = 0 reduces to 1/4 + arcsin(rho)/(2 pi) through T(0, .)).
+    (h = k = 0 reduces to 1/4 + arcsin(rho)/(2 pi) through T(0, .)). Where
+    k/h or h/k overflows, the T term takes its limit T(h, +-inf) =
+    +-Phi(-|h|)/2.
     """
     if not (math.isfinite(h) and math.isfinite(k) and math.isfinite(rho)):
         raise ValueError(f"bivariate_cdf expects finite arguments, got {(h, k, rho)!r}")
@@ -193,10 +195,30 @@ def bivariate_cdf(h: float, k: float, rho: float) -> float:
     else:
         ah = (k / h - rho) / root
         ak = (h / k - rho) / root
-        value = 0.5 * (_scalar_cdf(h) + _scalar_cdf(k)) - owen_t(h, ah) - owen_t(k, ak)
-        if h * k < 0.0:
+        value = (0.5 * (_scalar_cdf(h) + _scalar_cdf(k))
+                 - _owen_t_extended(h, ah) - _owen_t_extended(k, ak))
+        # opposite signs; h * k < 0 would miss them when the product underflows
+        if (h < 0.0) != (k < 0.0):
             value -= 0.5
     return min(max(value, 0.0), 1.0)
+
+
+def _owen_t_extended(h: float, a: float) -> float:
+    """T(h, a) with the limit T(h, +-inf) = +-Phi(-|h|)/2, which
+    :func:`bivariate_cdf` reaches when k/h or h/k overflows (a limit next to
+    a subnormal one)."""
+    if math.isinf(a):
+        return math.copysign(0.5 * _scalar_cdf(-abs(h)), a)
+    return owen_t(h, a)
+
+
+def _exact_estimate(h: float, k: float | None = None, rho: float = 0.0) -> MvnEstimate:
+    """The exact N <= 2 paths on standardized limits: Phi(h) when k is None,
+    else Phi2(h, k; rho). :func:`cdf` and ``ProbitBernoulli.pmf`` both end
+    here."""
+    if k is None:
+        return MvnEstimate(_scalar_cdf(h), 0.0, "univariate")
+    return MvnEstimate(bivariate_cdf(h, k, rho), 0.0, "bivariate_owen")
 
 
 def _korobov_vector(n_max: int, dim: int) -> np.ndarray:
@@ -439,11 +461,9 @@ def cdf(query: MvnQuery, seed: int = 0, method: str = "auto") -> MvnEstimate:
         s1 = math.sqrt(cov.item(i, i))
         h = (upper[i] - mean[i]) / s1
         if n == 1:
-            return MvnEstimate(_scalar_cdf(h), 0.0, "univariate")
+            return _exact_estimate(h)
         s2 = math.sqrt(cov.item(j, j))
-        rho = cov.item(i, j) / (s1 * s2)
-        value = bivariate_cdf(h, (upper[j] - mean[j]) / s2, rho)
-        return MvnEstimate(value, 0.0, "bivariate_owen")
+        return _exact_estimate(h, (upper[j] - mean[j]) / s2, cov.item(i, j) / (s1 * s2))
     labels = np.array(active)
     b = query.upper - query.mean
     cov = query.cov.entries

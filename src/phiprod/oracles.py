@@ -81,8 +81,8 @@ def gauss_hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order!r}")
     x, w = roots_hermite(order)
-    x.flags.writeable = False
-    w.flags.writeable = False
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
 
 

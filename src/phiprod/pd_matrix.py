@@ -148,8 +148,8 @@ class PdMatrix:
     def __init__(self, entries: np.ndarray):
         entries = np.array(entries, dtype=float)
         self._chol = _cholesky_lower(entries)
-        entries.flags.writeable = False
-        self._chol.flags.writeable = False
+        entries.setflags(write=False)
+        self._chol.setflags(write=False)
         self._entries = entries
 
     @classmethod
@@ -174,7 +174,7 @@ class PdMatrix:
         the full check.
         """
         m = cls.__new__(cls)
-        entries.flags.writeable = False
+        entries.setflags(write=False)
         m._entries = entries
         m._chol = None
         return m
@@ -212,7 +212,7 @@ class PdMatrix:
         """Read-only view of the lower Cholesky factor."""
         if self._chol is None:
             self._chol = _cholesky_lower(self._entries)
-            self._chol.flags.writeable = False
+            self._chol.setflags(write=False)
         return self._chol
 
     def det(self) -> float:

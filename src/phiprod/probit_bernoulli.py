@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauss_scalar import cdf as _scalar_cdf
-from .mvn_cdf import MvnEstimate, MvnQuery, _as_count, _rng
+from .mvn_cdf import MvnEstimate, MvnQuery, _as_count, _check_accuracy, _exact_estimate, _rng
 from .mvn_cdf import cdf as _mvn_cdf
 from .pd_matrix import PdMatrix, _frozen_vector
 
@@ -79,7 +79,7 @@ class ProbitBernoulli:
         them.
         """
         m = cls.__new__(cls)
-        mu.flags.writeable = False
+        mu.setflags(write=False)
         m._mu = mu
         m._sigma = sigma
         return m
@@ -96,10 +96,13 @@ class ProbitBernoulli:
     def sigma(self) -> PdMatrix:
         return self._sigma
 
+    def _check_length(self, y: SignVector) -> None:
+        if len(y) != self.dim:
+            raise ValueError(f"sign vector has length {len(y)}, expected {self.dim}")
+
     def _query(self, y: SignVector, accuracy: float) -> MvnQuery:
         n = self.dim
-        if len(y) != n:
-            raise ValueError(f"sign vector has length {len(y)}, expected {n}")
+        self._check_length(y)
         ys = y.as_array()
         # I + D_y Sigma D_y is symmetric, finite and PD by construction
         entries = self._sigma.entries * (ys[:, None] * ys)
@@ -109,8 +112,30 @@ class ProbitBernoulli:
                         cov=PdMatrix._derived(entries), accuracy=accuracy)
 
     def pmf(self, y: SignVector, accuracy: float = 1e-6, seed: int = 0) -> MvnEstimate:
-        """P(Y = y) as an MVN CDF evaluation, with its error estimate."""
-        return _mvn_cdf(self._query(y, accuracy), seed=seed)
+        """P(Y = y) as an MVN CDF evaluation, with its error estimate.
+
+        At dim >= 3 this evaluates the query of :meth:`_query`. At dim <= 2
+        it goes straight to the exact path: the standardized limits
+        y_r mu_r / sqrt(1 + Sigma_rr) and the correlation are computed on
+        Python floats, with no query, in the order of operations of the
+        query's own evaluation, so the result has the same bits. The same
+        checks run, in the same order: the length of ``y``, then the
+        accuracy.
+        """
+        if self.dim > 2:
+            return _mvn_cdf(self._query(y, accuracy), seed=seed)
+        self._check_length(y)
+        _check_accuracy(accuracy)
+        mu = self._mu.tolist()
+        sigma = self._sigma.entries.tolist()
+        y1 = y.signs[0]
+        s1 = math.sqrt(sigma[0][0] + 1.0)
+        h = y1 * mu[0] / s1
+        if self.dim == 1:
+            return _exact_estimate(h)
+        y2 = y.signs[1]
+        s2 = math.sqrt(sigma[1][1] + 1.0)
+        return _exact_estimate(h, y2 * mu[1] / s2, y1 * y2 * sigma[0][1] / (s1 * s2))
 
     def log_pmf(self, y: SignVector, accuracy: float = 1e-6, seed: int = 0) -> float:
         """log P(Y = y); -inf when the pmf estimate underflows to zero."""

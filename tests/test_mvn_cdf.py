@@ -13,6 +13,7 @@ from scipy.stats import multivariate_normal
 
 from phiprod import mvn_cdf, oracles
 from phiprod.gauss_scalar import cdf as scalar_cdf
+from phiprod.gauss_scalar import owen_t
 from phiprod.mvn_cdf import MvnEstimate, MvnQuery, bivariate_cdf, cdf
 from phiprod.pd_matrix import NotPositiveDefiniteError, PdMatrix, PrecisionBlocks, \
     _cholesky_lower
@@ -206,6 +207,36 @@ class TestBivariate:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             bivariate_cdf(math.inf, 0.0, 0.5)
+
+    @pytest.mark.parametrize("entry", ["bivariate_cdf", "cdf", "pmf"])
+    def test_overflowing_ratio_takes_its_limit(self, entry):
+        # k/h overflows next to a subnormal h; T(h, inf) = Phi(-|h|)/2 leaves
+        # the axis value Phi2(0, k; rho) = Phi(k)/2 + T(k, rho/sqrt(1-rho^2))
+        sigma = PdMatrix.from_entries(2, [[1.0, 0.3], [0.3, 1.0]])
+        if entry == "bivariate_cdf":
+            (h, k, rho), value = (1e-320, 0.5, 0.3), bivariate_cdf(1e-320, 0.5, 0.3)
+        elif entry == "cdf":
+            h, k, rho = 1e-310, 0.5, 0.3
+            value = cdf(MvnQuery([1e-310, 0.5], [0.0, 0.0], sigma)).value
+        else:
+            h, k, rho = 1e-310 / math.sqrt(2.0), 0.5 / math.sqrt(2.0), 0.15
+            value = ProbitBernoulli([1e-310, 0.5], sigma).pmf(SignVector((1, 1))).value
+        axis = 0.5 * scalar_cdf(k) + owen_t(k, rho / math.sqrt((1.0 - rho) * (1.0 + rho)))
+        assert abs(value - axis) <= 1e-15
+        assert abs(value - oracles.bivariate_cdf_quad(h, k, rho)) <= 1e-12
+
+    @pytest.mark.parametrize("tiny", [5e-324, -5e-324, 1e-310, -1e-310, 1e-200, -1e-200])
+    def test_limits_next_to_zero_give_the_axis_value(self, tiny):
+        # a ratio that overflows takes the limit T(h, +-inf); a product h k
+        # that underflows to zero must still count opposite signs
+        for k in (-6.0, -1e-200, -0.4, 0.2, 1e-200, 3.0):
+            for rho in (-0.95, -0.3, 0.0, 0.6, 0.99):
+                root = math.sqrt((1.0 - rho) * (1.0 + rho))
+                axis = 0.5 * scalar_cdf(k) + owen_t(k, rho / root)
+                ref = oracles.bivariate_cdf_quad(tiny, k, rho)
+                for value in (bivariate_cdf(tiny, k, rho), bivariate_cdf(k, tiny, rho)):
+                    assert abs(value - axis) <= 1e-15
+                    assert abs(value - ref) <= 1e-12
 
 
 class TestQmcPath:

@@ -30,6 +30,29 @@ class TestSignVector:
             SignVector(bad)
 
 
+@st.composite
+def _exact_route_models(draw):
+    """(mu, Sigma, accuracy) at dim 1 or 2: mu entries with signed zeros,
+    subnormals and |mu| up to 40; Sigma from _random_pd or, at dim 2, scaled
+    by 1e-3 to 1e3 with |correlation| from 0.9 up to 1 - 1e-11."""
+    n = draw(st.integers(1, 2))
+    edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 40.0, -40.0])
+    mu = np.array(draw(st.lists(st.one_of(edges, st.floats(-40.0, 40.0)),
+                                min_size=n, max_size=n)))
+    if n == 2 and draw(st.booleans()):
+        scale = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=2,
+                                               max_size=2)))
+        r = draw(st.sampled_from([-1.0, 1.0])) * (1.0 - 10.0 ** draw(st.floats(-11.0, -1.0)))
+        entries = np.outer(scale, scale) * np.array([[1.0, r], [r, 1.0]])
+        try:
+            sigma = PdMatrix.from_entries(2, entries)
+        except NotPositiveDefiniteError:
+            assume(False)
+    else:
+        sigma = _random_pd(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    return mu, sigma, draw(st.sampled_from([1e-6, 1e-3, 0.1]))
+
+
 class TestPmf:
     def test_half_correlation_quadruple(self, sign_fixture):
         # orthant correlations +/- 1/2: probabilities 1/3 and 1/6
@@ -125,6 +148,37 @@ class TestPmf:
                     ref = mvn_cdf(MvnQuery(upper=ys * mu, mean=np.zeros(n), cov=by_hand,
                                            accuracy=1e-5), seed=s)
                     assert d.pmf(y, accuracy=1e-5, seed=s) == ref
+
+    @given(_exact_route_models())
+    @settings(max_examples=300, deadline=None)
+    def test_exact_route_matches_query_built_by_hand(self, model):
+        # at dim <= 2 pmf skips the query; the query built by hand is what
+        # it must reproduce, field for field and bit for bit
+        mu, sig, accuracy = model
+        n = sig.dim
+        d = ProbitBernoulli(mu, sig)
+        for s, y in enumerate(d.support()):
+            ys = y.as_array()
+            cov = PdMatrix.from_entries(n, np.eye(n) + sig.entries * np.outer(ys, ys))
+            ref = mvn_cdf(MvnQuery(upper=ys * mu, mean=np.zeros(n), cov=cov,
+                                   accuracy=accuracy), seed=s)
+            assert d.pmf(y, accuracy=accuracy, seed=s) == ref
+            log_ref = math.log(ref.value) if ref.value > 0.0 else -math.inf
+            assert d.log_pmf(y, accuracy=accuracy, seed=s) == log_ref
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("accuracy", [0.0, -1e-6, 0.2, math.nan])
+    def test_exact_route_checks_length_then_accuracy(self, n, accuracy):
+        d = ProbitBernoulli(np.zeros(n), PdMatrix.from_entries(n, np.eye(n)))
+        y = SignVector((1,) * n)
+        with pytest.raises(ValueError, match=r"accuracy must be in \(0, 0\.1\]"):
+            d.pmf(y, accuracy=accuracy)
+        with pytest.raises(ValueError, match=r"accuracy must be in \(0, 0\.1\]"):
+            d.log_pmf(y, accuracy=accuracy)
+        wrong = SignVector((1,) * (3 - n))
+        for a in (1e-6, accuracy):
+            with pytest.raises(ValueError, match=f"sign vector has length {3 - n}"):
+                d.pmf(wrong, accuracy=a)
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_pmf_matches_query_built_by_hand_on_the_qmc_path(self, n):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -25,6 +26,9 @@ from .pd_matrix import InternalConsistencyError, PdMatrix
 from .probit_bernoulli import ProbitBernoulli, SignVector
 
 _FMT = "%.17g"
+# the defaults of --accuracy (verify's is 1e-5) and --draws, at which table runs
+_ACCURACY = 1e-6
+_DRAWS = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -38,15 +42,24 @@ def _parse_reals(text: str) -> np.ndarray:
         raise ValueError(f"expected comma-separated reals, got {text!r}") from exc
 
 
-def _load_cov(path: str) -> PdMatrix:
+def _read_json(path: str, kind: str):
+    """The parsed JSON file ``path``; ``kind`` names it in the error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ValueError(f"cannot read matrix file {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read {kind} file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValueError(f"matrix file {path!r} is not valid JSON: {exc}") from exc
-    return PdMatrix.from_json_dict(obj)
+        raise ValueError(f"{kind} file {path!r} is not valid JSON: {exc}") from exc
+
+
+def _load_cov(path: str) -> PdMatrix:
+    return PdMatrix.from_json_dict(_read_json(path, "matrix"))
+
+
+def _model(args) -> ProbitBernoulli:
+    """The sign-vector model of ``--mu`` and ``--cov``."""
+    return ProbitBernoulli(_parse_reals(args.mu), _load_cov(args.cov))
 
 
 def _emit_json(obj: dict) -> None:
@@ -54,9 +67,26 @@ def _emit_json(obj: dict) -> None:
 
 
 def _estimate_report(command: str, est: MvnEstimate) -> dict:
-    return {"command": command, "value": est.value, "err_estimate": est.err_estimate,
-            "method": est.method, "n_points": est.n_points, "converged": est.converged,
-            "order": list(est.order), "tilted": est.tilted}
+    return {"command": command, **dataclasses.asdict(est)}
+
+
+def _scalar_oracle(params: ScalarMixParams, est: MvnEstimate, accuracy: float) -> dict:
+    """The closed form ``est`` against the adaptive quadrature oracle."""
+    ref, cert = oracles.cdf_product_scalar_adaptive(params)
+    tolerance = accuracy + est.err_estimate + cert
+    diff = abs(est.value - ref)
+    return {"value": ref, "certificate": cert, "abs_diff": diff,
+            "tolerance": tolerance, "pass": diff <= tolerance}
+
+
+def _vector_oracle(params: VectorMixParams, est: MvnEstimate, draws: int,
+                   seed: int) -> dict:
+    """The closed form ``est`` against the Monte Carlo oracle."""
+    mc, se = oracles.cdf_product_vector_mc(params, draws=draws, seed=seed)
+    threshold = oracles.mc_threshold(se, est.err_estimate)
+    diff = abs(est.value - mc)
+    return {"estimate": mc, "std_error": se, "draws": draws, "abs_diff": diff,
+            "threshold": threshold, "pass": diff <= threshold}
 
 
 def cmd_scalar(args) -> int:
@@ -64,26 +94,19 @@ def cmd_scalar(args) -> int:
                              m=_parse_reals(args.m), v=_parse_reals(args.v))
     est = cdf_product_scalar(params, accuracy=args.accuracy, seed=args.seed)
     report = _estimate_report("scalar", est)
-    code = 0
     if args.oracle:
-        ref, cert = oracles.cdf_product_scalar_adaptive(params)
-        tolerance = args.accuracy + est.err_estimate + cert
-        diff = abs(est.value - ref)
-        code = 0 if diff <= tolerance else 1
-        report["oracle"] = {"value": ref, "certificate": cert, "abs_diff": diff,
-                            "tolerance": tolerance, "pass": code == 0}
+        o = report["oracle"] = _scalar_oracle(params, est, args.accuracy)
     if args.json:
         _emit_json(report)
     else:
         print(f"closed form  = {_fmt(est.value)}  "
               f"(err_estimate {_fmt(est.err_estimate)}, {est.method})")
         if args.oracle:
-            o = report["oracle"]
             print(f"quadrature   = {_fmt(o['value'])}  "
                   f"(adaptive, certificate {_fmt(o['certificate'])})")
             print(f"abs diff     = {_fmt(o['abs_diff'])}  "
-                  f"[{'PASS' if code == 0 else 'FAIL'} at {_fmt(o['tolerance'])}]")
-    return code
+                  f"[{'PASS' if o['pass'] else 'FAIL'} at {_fmt(o['tolerance'])}]")
+    return 1 if args.oracle and not o["pass"] else 0
 
 
 def cmd_vector(args) -> int:
@@ -91,43 +114,26 @@ def cmd_vector(args) -> int:
                              m=_parse_reals(args.m), v=_parse_reals(args.v))
     est = cdf_product_vector(params, accuracy=args.accuracy, seed=args.seed)
     report = _estimate_report("vector", est)
-    code = 0
     if args.oracle:
-        mc, se = oracles.cdf_product_vector_mc(params, draws=args.draws, seed=args.seed)
-        threshold = oracles.mc_threshold(se, est.err_estimate)
-        diff = abs(est.value - mc)
-        code = 0 if diff <= threshold else 1
-        report["oracle"] = {"estimate": mc, "std_error": se, "draws": args.draws,
-                            "abs_diff": diff, "threshold": threshold,
-                            "pass": code == 0}
+        o = report["oracle"] = _vector_oracle(params, est, args.draws, args.seed)
     if args.json:
         _emit_json(report)
     else:
         print(f"closed form  = {_fmt(est.value)}  "
               f"(err_estimate {_fmt(est.err_estimate)}, {est.method})")
         if args.oracle:
-            o = report["oracle"]
             print(f"monte carlo  = {_fmt(o['estimate'])} +- {_fmt(o['std_error'])}  "
                   f"({args.draws} draws)")
             print(f"abs diff     = {_fmt(o['abs_diff'])}  "
-                  f"[{'PASS' if code == 0 else 'FAIL'} at 3 combined SE = "
+                  f"[{'PASS' if o['pass'] else 'FAIL'} at 3 combined SE = "
                   f"{_fmt(o['threshold'])}]")
-    return code
-
-
-def _sign_vector(text: str) -> SignVector:
-    values = []
-    for part in text.split(","):
-        x = float(part)
-        if x not in (-1.0, 1.0):
-            raise ValueError(f"sign entries must be -1 or 1, got {part!r}")
-        values.append(int(x))
-    return SignVector(tuple(values))
+    return 1 if args.oracle and not o["pass"] else 0
 
 
 def cmd_pmf(args) -> int:
-    d = ProbitBernoulli(_parse_reals(args.mu), _load_cov(args.cov))
-    est = d.pmf(_sign_vector(args.y), accuracy=args.accuracy, seed=args.seed)
+    d = _model(args)
+    est = d.pmf(SignVector(tuple(_parse_reals(args.y))), accuracy=args.accuracy,
+                seed=args.seed)
     if args.json:
         _emit_json(_estimate_report("pmf", est))
     else:
@@ -137,8 +143,7 @@ def cmd_pmf(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    d = ProbitBernoulli(_parse_reals(args.mu), _load_cov(args.cov))
-    draws = d.sample(args.n, seed=args.seed)
+    draws = _model(args).sample(args.n, seed=args.seed)
     if args.json:
         _emit_json({"command": "sample", "count": args.n, "seed": args.seed,
                     "draws": draws.tolist()})
@@ -151,7 +156,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    d = ProbitBernoulli(_parse_reals(args.mu), _load_cov(args.cov))
+    d = _model(args)
     total = d.normalization(accuracy=args.accuracy, seed=args.seed)
     budget = 2**d.dim * args.accuracy
     if args.json:
@@ -193,33 +198,26 @@ def _table_rows(records, seed: int):
             if kind == "scalar":
                 params = ScalarMixParams(mu=float(rec["mu"]), sigma2=float(rec["sigma2"]),
                                          m=rec["m"], v=rec["v"])
-                closed = cdf_product_scalar(params, seed=seed).value
-                oracle = oracles.cdf_product_scalar_adaptive(params)[0]
+                est = cdf_product_scalar(params, accuracy=_ACCURACY, seed=seed)
+                oracle = _scalar_oracle(params, est, _ACCURACY)["value"]
             elif kind == "vector":
                 cov = PdMatrix.from_entries(len(rec["m"]), rec["cov"])
                 params = VectorMixParams(mu=rec["mu"], sigma=cov, m=rec["m"], v=rec["v"])
-                closed = cdf_product_vector(params, seed=seed).value
-                oracle = oracles.cdf_product_vector_mc(params, draws=1_000_000,
-                                                       seed=seed)[0]
+                est = cdf_product_vector(params, accuracy=_ACCURACY, seed=seed)
+                oracle = _vector_oracle(params, est, _DRAWS, seed)["estimate"]
             else:
                 raise ValueError(f"unknown identity id {kind!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"record {index}: {exc}") from exc
         params_json = json.dumps({k: v for k, v in rec.items() if k != "id"},
                                  sort_keys=True)
-        rows.append({"id": kind, "params": params_json, "closed": closed,
-                     "oracle": oracle, "absdiff": abs(closed - oracle)})
+        rows.append({"id": kind, "params": params_json, "closed": est.value,
+                     "oracle": oracle, "absdiff": abs(est.value - oracle)})
     return rows
 
 
 def cmd_table(args) -> int:
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            records = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read spec file {args.spec!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"spec file {args.spec!r} is not valid JSON: {exc}") from exc
+    records = _read_json(args.spec, "spec")
     if not isinstance(records, list):
         raise ValueError("spec file must contain a JSON array of records")
     rows = _table_rows(records, args.seed)
@@ -255,77 +253,76 @@ def cmd_figure(args) -> int:
     return 0
 
 
+def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser that declares one option for the subcommands sharing it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
+def _accuracy(default: float) -> argparse.ArgumentParser:
+    """The one ``--accuracy`` declaration; verify's default differs."""
+    return _option("--accuracy", type=float, default=default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phiprod",
         description="Gaussian CDF product integrals, orthant probabilities and the "
                     "sign-vector probit Bernoulli distribution, with verification.")
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = _option("--seed", type=int, default=0)
+    as_json = _option("--json", action="store_true")
+    accuracy = _accuracy(_ACCURACY)
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--mu", required=True, help="comma-separated means")
+    model.add_argument("--cov", required=True, help="JSON matrix file {dim, entries}")
 
-    p = sub.add_parser("scalar", help="closed form for the scalar-mixing CDF product")
+    p = sub.add_parser("scalar", parents=[accuracy, seed, as_json],
+                       help="closed form for the scalar-mixing CDF product")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--sigma2", type=float, required=True)
     p.add_argument("--m", required=True, help="comma-separated offsets")
     p.add_argument("--v", required=True, help="comma-separated positive widths")
-    p.add_argument("--accuracy", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle", action="store_true",
                    help="also run the quadrature oracle and compare")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_scalar)
 
-    p = sub.add_parser("vector", help="closed form for the vector-mixing CDF product")
-    p.add_argument("--mu", required=True, help="comma-separated means")
+    p = sub.add_parser("vector", parents=[model, accuracy, seed, as_json],
+                       help="closed form for the vector-mixing CDF product")
     p.add_argument("--m", required=True)
     p.add_argument("--v", required=True)
-    p.add_argument("--cov", required=True, help="JSON matrix file {dim, entries}")
-    p.add_argument("--accuracy", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--draws", type=int, default=1_000_000, help="MC oracle draws")
+    p.add_argument("--draws", type=int, default=_DRAWS, help="MC oracle draws")
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_vector)
 
-    p = sub.add_parser("pmf", help="probability of one sign vector")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--cov", required=True)
+    p = sub.add_parser("pmf", parents=[model, accuracy, seed, as_json],
+                       help="probability of one sign vector")
     p.add_argument("--y", required=True, help="comma-separated entries, each -1 or 1")
-    p.add_argument("--accuracy", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_pmf)
 
-    p = sub.add_parser("sample", help="seeded draws from the sign-vector distribution")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--cov", required=True)
+    p = sub.add_parser("sample", parents=[model, seed, as_json],
+                       help="seeded draws from the sign-vector distribution")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("normalize", help="sum the pmf over the whole support")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--cov", required=True)
-    p.add_argument("--accuracy", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("normalize", parents=[model, accuracy, seed, as_json],
+                       help="sum the pmf over the whole support")
     p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("verify", help="run randomized property suites")
+    p = sub.add_parser("verify", parents=[_accuracy(1e-5), seed, as_json],
+                       help="run randomized property suites")
     p.add_argument("--suite", default="all",
                    choices=verify.SUITE_NAMES + ("all",))
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--accuracy", type=float, default=1e-5)
     p.add_argument("--perturb", type=float, default=0.0,
                    help="testing aid: bias injected into the checked values")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("table", help="closed form vs oracle for a batch of records")
+    p = sub.add_parser("table", parents=[seed],
+                       help="closed form vs oracle for a batch of records")
     p.add_argument("--spec", required=True, help="JSON array of identity records")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("figure", help="bivariate density grid over the sign region")

@@ -35,15 +35,12 @@ def phi(x: float) -> float:
 def cdf(x: float) -> float:
     """Standard normal CDF, computed from the complementary error function.
 
-    ``+inf`` and ``-inf`` return the exact limits 1 and 0; NaN is rejected.
-    The absolute error is at the level of libm's erfc, well below 1e-14.
+    ``+inf`` and ``-inf`` return the exact limits 1 and 0 (erfc is exactly
+    2 and 0 there); NaN is rejected. The absolute error is at the level of
+    libm's erfc, well below 1e-14.
     """
     if math.isnan(x):
         raise ValueError("cdf expects a non-NaN argument")
-    if x == math.inf:
-        return 1.0
-    if x == -math.inf:
-        return 0.0
     return 0.5 * math.erfc(-x * _INV_SQRT2)
 
 

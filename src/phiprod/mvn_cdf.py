@@ -170,7 +170,8 @@ class MvnQuery:
 def bivariate_cdf(h: float, k: float, rho: float) -> float:
     """Standard bivariate normal CDF P(Z1 <= h, Z2 <= k) at correlation rho.
 
-    Owen's construction: for h, k both nonzero,
+    The arguments are taken as Python floats: a numpy scalar's k / h would
+    warn where it overflows. Owen's construction: for h, k both nonzero,
 
         Phi2 = [Phi(h) + Phi(k)]/2 - T(h, (k/h - rho)/sqrt(1-rho^2))
                                    - T(k, (h/k - rho)/sqrt(1-rho^2)) - delta
@@ -181,6 +182,7 @@ def bivariate_cdf(h: float, k: float, rho: float) -> float:
     k/h or h/k overflows, the T term takes its limit T(h, +-inf) =
     +-Phi(-|h|)/2.
     """
+    h, k, rho = float(h), float(k), float(rho)
     if not (math.isfinite(h) and math.isfinite(k) and math.isfinite(rho)):
         raise ValueError(f"bivariate_cdf expects finite arguments, got {(h, k, rho)!r}")
     if abs(rho) >= _RHO_LIMIT:
@@ -212,13 +214,18 @@ def _owen_t_extended(h: float, a: float) -> float:
     return owen_t(h, a)
 
 
-def _exact_estimate(h: float, k: float | None = None, rho: float = 0.0) -> MvnEstimate:
-    """The exact N <= 2 paths on standardized limits: Phi(h) when k is None,
-    else Phi2(h, k; rho). :func:`cdf` and ``ProbitBernoulli.pmf`` both end
-    here."""
-    if k is None:
-        return MvnEstimate(_scalar_cdf(h), 0.0, "univariate")
-    return MvnEstimate(bivariate_cdf(h, k, rho), 0.0, "bivariate_owen")
+def _exact_estimate(b1: float, var1: float, b2: float | None = None,
+                    var2: float = 1.0, cov12: float = 0.0) -> MvnEstimate:
+    """The exact N <= 2 paths on Python floats b_r (limit minus mean), var_r
+    and cov12: Phi(b1 / s1) when ``b2`` is None, else Phi2(b1 / s1, b2 / s2;
+    cov12 / (s1 s2)), s_r = sqrt(var_r). :func:`cdf` and
+    ``ProbitBernoulli.pmf`` both standardize here."""
+    s1 = math.sqrt(var1)
+    if b2 is None:
+        return MvnEstimate(_scalar_cdf(b1 / s1), 0.0, "univariate")
+    s2 = math.sqrt(var2)
+    return MvnEstimate(bivariate_cdf(b1 / s1, b2 / s2, cov12 / (s1 * s2)), 0.0,
+                       "bivariate_owen")
 
 
 def _korobov_vector(n_max: int, dim: int) -> np.ndarray:
@@ -458,12 +465,10 @@ def cdf(query: MvnQuery, seed: int = 0, method: str = "auto") -> MvnEstimate:
         mean = query.mean.tolist()
         cov = query.cov.entries
         i, j = active[0], active[-1]
-        s1 = math.sqrt(cov.item(i, i))
-        h = (upper[i] - mean[i]) / s1
         if n == 1:
-            return _exact_estimate(h)
-        s2 = math.sqrt(cov.item(j, j))
-        return _exact_estimate(h, (upper[j] - mean[j]) / s2, cov.item(i, j) / (s1 * s2))
+            return _exact_estimate(upper[i] - mean[i], cov.item(i, i))
+        return _exact_estimate(upper[i] - mean[i], cov.item(i, i),
+                               upper[j] - mean[j], cov.item(j, j), cov.item(i, j))
     labels = np.array(active)
     b = query.upper - query.mean
     cov = query.cov.entries

@@ -12,7 +12,10 @@ shares no code with the path under test:
   imported here: the rule is a few lines, and the import alone would add
   about 18 MB to ``verify``.
 * Plain Monte Carlo for the vector-mixing integral and for raw MVN
-  rectangle probabilities, with honest standard errors.
+  rectangle probabilities, through one chunked loop, ``_mc_mean``, to which
+  each supplies its values per draw. A sample with no variance reports a
+  standard error of 1 / draws: 3 SE is then the rule-of-three bound
+  (Hanley & Lippman-Hand, JAMA 249, 1983), not a bar of zero.
 * Gauss-Hermite quadrature of the scalar-mixing integral at a fixed order.
   No check of this package uses it (at order 200 it is off by up to
   4.2e-7 on verify's identity-scalar draws); it is kept, with its ``order``
@@ -110,63 +113,61 @@ def mc_threshold(std_error: float, err_estimate: float) -> float:
     return 3.0 * math.sqrt(std_error * std_error + (err_estimate / 3.0) ** 2)
 
 
-def _as_draws(draws) -> int:
-    """A Monte Carlo oracle's draw count, an integer of at least 1e4."""
+def _mc_mean(values: Callable[[np.ndarray], np.ndarray], dim: int, draws,
+             seed: int) -> tuple[float, float]:
+    """The one Monte Carlo loop: (mean, standard error) of ``values(z)``, one
+    value per row z of standard normals in ``dim`` columns, over ``draws``
+    rows (an integer of at least 1e4) from ``_rng(seed)`` in chunks of
+    ``_MC_CHUNK``, so memory stays bounded and the chunking does not move the
+    result. A sample with no variance (every draw 0, or every draw 1) reports
+    1 / draws, so that 3 SE is the rule-of-three bound 3 / draws."""
     draws = _as_count("draws", draws)
     if draws < 10_000:
         raise ValueError(f"draws must be >= 1e4, got {draws!r}")
-    return draws
+    rng = _rng(seed)
+    total = total_sq = 0.0
+    remaining = draws
+    while remaining > 0:
+        block = min(remaining, _MC_CHUNK)
+        t = values(rng.standard_normal((block, dim)))
+        total += float(t.sum())
+        total_sq += float((t * t).sum())
+        remaining -= block
+    mean = total / draws
+    var = max(total_sq / draws - mean * mean, 0.0) * draws / (draws - 1)
+    return mean, 1.0 / draws if var == 0.0 else math.sqrt(var / draws)
 
 
 def cdf_product_vector_mc(params: VectorMixParams, draws: int = 1_000_000,
                           seed: int = 0) -> tuple[float, float]:
     """Monte Carlo value of E[prod_r Phi((x_r - m_r)/v_r)], x ~ N(mu, Sigma).
 
-    Returns (estimate, standard error). Draws are processed in fixed-size
-    chunks so memory stays bounded and the result is independent of chunk
-    partitioning for a given seed.
+    Returns (estimate, standard error) from :func:`_mc_mean`.
     """
-    draws = _as_draws(draws)
-    rng = _rng(seed)
     # row r of scaled @ z.T + offset is (x_r - m_r) / v_r for x = mu + L z
     scaled = params.sigma.chol / params.v[:, None]
     offset = ((params.mu - params.m) / params.v)[:, None]
-    total = 0.0
-    total_sq = 0.0
-    remaining = draws
-    while remaining > 0:
-        block = min(remaining, _MC_CHUNK)
-        factors = scaled @ rng.standard_normal((block, params.n)).T
+
+    def products(z: np.ndarray) -> np.ndarray:
+        factors = scaled @ z.T
         factors += offset
-        ndtr(factors, out=factors)
-        t = factors[0]
-        for row in factors[1:]:
-            t *= row
-        total += float(t.sum())
-        total_sq += float((t * t).sum())
-        remaining -= block
-    mean = total / draws
-    var = max(total_sq / draws - mean * mean, 0.0) * draws / (draws - 1)
-    return mean, math.sqrt(var / draws)
+        # multiply.reduce runs down axis 0 row by row, as a loop over rows would
+        return ndtr(factors, out=factors).prod(axis=0)
+
+    return _mc_mean(products, params.n, draws, seed)
 
 
 def mvn_mc(query: MvnQuery, draws: int = 1_000_000, seed: int = 0) -> tuple[float, float]:
     """Crude Monte Carlo for P(Z <= upper), Z ~ N(mean, cov).
 
-    Returns (estimate, standard error) from the indicator fraction.
+    Returns (estimate, standard error) of the indicator from :func:`_mc_mean`.
     """
-    draws = _as_draws(draws)
-    rng = _rng(seed)
     chol_t = query.cov.chol.T
-    hits = 0
-    remaining = draws
-    while remaining > 0:
-        block = min(remaining, _MC_CHUNK)
-        z = query.mean + rng.standard_normal((block, query.dim)) @ chol_t
-        hits += int(np.all(z <= query.upper, axis=1).sum())
-        remaining -= block
-    p = hits / draws
-    return p, math.sqrt(max(p * (1.0 - p), 0.0) / (draws - 1))
+
+    def inside(z: np.ndarray) -> np.ndarray:
+        return np.all(query.mean + z @ chol_t <= query.upper, axis=1)
+
+    return _mc_mean(inside, query.dim, draws, seed)
 
 
 # dqk15 of QUADPACK (Piessens et al., 1983): the positive abscissae of the

@@ -42,7 +42,9 @@ class SignVector:
         cleaned = []
         for s in self.signs:
             if s != -1 and s != 1:
-                raise ValueError(f"sign entries must be -1 or +1, got {s!r}")
+                # a numpy scalar is named by its value, as a parsed float is
+                value = s.item() if isinstance(s, np.generic) else s
+                raise ValueError(f"sign entries must be -1 or +1, got {value!r}")
             cleaned.append(int(s))
         object.__setattr__(self, "signs", tuple(cleaned))
         if len(self.signs) == 0:
@@ -115,27 +117,25 @@ class ProbitBernoulli:
         """P(Y = y) as an MVN CDF evaluation, with its error estimate.
 
         At dim >= 3 this evaluates the query of :meth:`_query`. At dim <= 2
-        it goes straight to the exact path: the standardized limits
-        y_r mu_r / sqrt(1 + Sigma_rr) and the correlation are computed on
-        Python floats, with no query, in the order of operations of the
-        query's own evaluation, so the result has the same bits. The same
-        checks run, in the same order: the length of ``y``, then the
-        accuracy.
+        it builds no query: it reads its own limits y_r mu_r, variances
+        1 + Sigma_rr and covariance y_1 y_2 Sigma_12 as Python floats and
+        hands them to ``mvn_cdf._exact_estimate``, which standardizes them
+        as the query's own evaluation would, so the result has the same
+        bits. The same checks run, in the same order: the length of ``y``,
+        then the accuracy.
         """
         if self.dim > 2:
             return _mvn_cdf(self._query(y, accuracy), seed=seed)
         self._check_length(y)
         _check_accuracy(accuracy)
-        mu = self._mu.tolist()
-        sigma = self._sigma.entries.tolist()
+        mu, sigma = self._mu, self._sigma.entries
         y1 = y.signs[0]
-        s1 = math.sqrt(sigma[0][0] + 1.0)
-        h = y1 * mu[0] / s1
         if self.dim == 1:
-            return _exact_estimate(h)
+            return _exact_estimate(y1 * mu.item(0), sigma.item(0, 0) + 1.0)
         y2 = y.signs[1]
-        s2 = math.sqrt(sigma[1][1] + 1.0)
-        return _exact_estimate(h, y2 * mu[1] / s2, y1 * y2 * sigma[0][1] / (s1 * s2))
+        return _exact_estimate(y1 * mu.item(0), sigma.item(0, 0) + 1.0,
+                               y2 * mu.item(1), sigma.item(1, 1) + 1.0,
+                               y1 * y2 * sigma.item(0, 1))
 
     def log_pmf(self, y: SignVector, accuracy: float = 1e-6, seed: int = 0) -> float:
         """log P(Y = y); -inf when the pmf estimate underflows to zero."""

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from phiprod.cli import main
+
+# written by data/make_cli_golden.py
+CLI_GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
 
 @pytest.fixture
@@ -137,6 +143,22 @@ class TestVectorCommand:
         assert code == 0
         assert 0.0 <= payload["value"] <= 1e-50
 
+    def test_oracle_bar_of_an_all_zero_sample_is_the_rule_of_three(self, capsys,
+                                                                     tmp_path):
+        # the closed form is about 1e-51 and every one of the 20000 Monte Carlo
+        # products is 0: a standard error of 0 would fail a correct value
+        path = tmp_path / "strong.json"
+        path.write_text(json.dumps({"dim": 3, "entries": [
+            [1.0, -0.485, -0.699], [-0.485, 1.0, -0.183], [-0.699, -0.183, 1.0]]}),
+            encoding="utf-8")
+        code = main(["vector", "--mu=-1.07,-2.58,-2.66", "--m", "0,0,0",
+                     "--v", "0.01,0.01,0.01", "--cov", str(path), "--oracle",
+                     "--draws", "20000", "--json"])
+        oracle = json.loads(capsys.readouterr().out)["oracle"]
+        assert code == 0
+        assert (oracle["estimate"], oracle["std_error"]) == (0.0, 1.0 / 20000)
+        assert oracle["pass"] is True
+
     def test_missing_matrix_file(self, capsys):
         code = main(["vector", "--mu", "0", "--m", "0", "--v", "1",
                      "--cov", "/nonexistent/cov.json"])
@@ -205,6 +227,8 @@ class TestPmfSampleNormalize:
     def test_pmf_rejects_non_sign(self, capsys, fixture_cov):
         code = main(["pmf", "--mu", "0,0", "--cov", fixture_cov, "--y", "1,0"])
         assert code == 2
+        # the parsed entry, not a numpy repr
+        assert "sign entries must be -1 or +1, got 0.0" in capsys.readouterr().err
 
     def test_sample_repeatable(self, capsys, fixture_cov):
         code = main(["sample", "--mu", "0,0", "--cov", fixture_cov,
@@ -368,3 +392,24 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def replay(case: dict, workdir: Path) -> tuple[str, int]:
+    """(stdout, exit code) of ``main`` on a case of cli_golden.json, with the
+    case's files written to ``workdir``, which ``{dir}`` in its argv names."""
+    for name, text in case["files"].items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    argv = [arg.replace("{dir}", str(workdir)) for arg in case["argv"]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), code
+
+
+@pytest.mark.parametrize(
+    "case", json.loads(CLI_GOLDEN.read_text(encoding="utf-8")), ids=lambda c: c["name"])
+def test_replays_the_committed_invocations(case, tmp_path):
+    assert replay(case, tmp_path) == (case["stdout"], case["exit"])

@@ -324,8 +324,7 @@ class TestVectorMix:
             )
             est = cdf_product_vector(params, accuracy=1e-5, seed=i)
             mc, se = oracles.cdf_product_vector_mc(params, draws=1_000_000, seed=100 + i)
-            combined = math.sqrt(se * se + (est.err_estimate / 3.0) ** 2)
-            assert abs(est.value - mc) <= 3.0 * combined
+            assert abs(est.value - mc) <= oracles.mc_threshold(se, est.err_estimate)
 
     def test_equals_the_query_built_by_hand(self, rng):
         # the query built by hand runs every MvnQuery and from_entries check;

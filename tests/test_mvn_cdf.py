@@ -225,6 +225,14 @@ class TestBivariate:
         assert abs(value - axis) <= 1e-15
         assert abs(value - oracles.bivariate_cdf_quad(h, k, rho)) <= 1e-12
 
+    def test_numpy_arguments_raise_no_warning(self):
+        # k / h overflows next to a subnormal h; a numpy scalar division
+        # would warn there, so the arguments are taken as Python floats
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = bivariate_cdf(np.float64(-5e-324), np.float64(0.5), np.float64(0.3))
+        assert value == bivariate_cdf(-5e-324, 0.5, 0.3) == 0.3883551543258027
+
     @pytest.mark.parametrize("tiny", [5e-324, -5e-324, 1e-310, -1e-310, 1e-200, -1e-200])
     def test_limits_next_to_zero_give_the_axis_value(self, tiny):
         # a ratio that overflows takes the limit T(h, +-inf); a product h k
@@ -246,8 +254,7 @@ class TestQmcPath:
                      cov=cov, accuracy=1e-6)
         est = cdf(q, seed=3)
         mc, se = oracles.mvn_mc(q, draws=10_000_000, seed=17)
-        combined = math.sqrt(se * se + (est.err_estimate / 3.0) ** 2)
-        assert abs(est.value - mc) <= 3.0 * combined
+        assert abs(est.value - mc) <= oracles.mc_threshold(se, est.err_estimate)
 
     def test_forced_qmc_matches_bivariate_grid(self):
         for h in np.linspace(-1.8, 1.8, 10):

@@ -161,6 +161,33 @@ class TestVectorMonteCarloOracle:
             oracles.cdf_product_vector_mc(params, draws=1e6)
 
 
+# ROADMAP item 1's deep-tail query, whose probability is about 9.1e-52: no
+# Monte Carlo draw lands in it
+_TAIL_UPPER = [-1.07, -2.58, -2.66]
+_TAIL_COV = [[1.0, -0.485, -0.699], [-0.485, 1.0, -0.183], [-0.699, -0.183, 1.0]]
+
+
+class TestZeroVarianceSample:
+    """A sample with no variance reports 1 / draws, so that 3 SE is the
+    rule-of-three bound 3 / draws and not a bar of 0."""
+
+    def test_vector_oracle_with_every_product_zero(self):
+        params = VectorMixParams(mu=_TAIL_UPPER, sigma=PdMatrix.from_entries(3, _TAIL_COV),
+                                 m=[0.0, 0.0, 0.0], v=[0.01, 0.01, 0.01])
+        assert oracles.cdf_product_vector_mc(params, draws=20_000, seed=0) == (
+            0.0, 1.0 / 20_000)
+
+    def test_mvn_oracle_with_every_draw_outside(self):
+        q = MvnQuery(upper=_TAIL_UPPER, mean=[0.0, 0.0, 0.0],
+                     cov=PdMatrix.from_entries(3, _TAIL_COV))
+        assert oracles.mvn_mc(q, draws=100_000, seed=0) == (0.0, 1e-5)
+
+    def test_mvn_oracle_with_every_draw_inside(self):
+        q = MvnQuery(upper=[40.0, 40.0], mean=[0.0, 0.0],
+                     cov=PdMatrix.from_entries(2, [[1.0, 0.5], [0.5, 1.0]]))
+        assert oracles.mvn_mc(q, draws=10_000, seed=1) == (1.0, 1e-4)
+
+
 class TestMonteCarloVerdict:
     def test_combines_the_two_standard_errors(self):
         # a 3-SE bar of 1.2 is one SE of 0.4; with an MC SE of 0.3 the

@@ -4,7 +4,8 @@ Closed-form evaluation of the CDF product integrals, pmf/sampling for the
 sign-vector distribution, randomized verification suites, and table/figure
 data emission. Exit codes: 0 success, 1 verification failure, 2 usage or
 domain error. All floating-point output uses 17 significant digits and LF
-line endings so runs are byte-reproducible.
+line endings so runs are byte-reproducible, except ``verify --json``, which
+reports each check's wall time as ``elapsed_s``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -253,6 +255,18 @@ def cmd_figure(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes a token starting with a dash and a digit,
+    such as ``-1,1``, as an option's value: argparse's own negative-number
+    test matches a single number only, so ``--y -1,1`` would read ``-1,1``
+    as an option. No option here starts with a dash and a digit. Subparsers
+    are built with the parser's own class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
     """A parent parser that declares one option for the subcommands sharing it."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -266,7 +280,7 @@ def _accuracy(default: float) -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phiprod",
         description="Gaussian CDF product integrals, orthant probabilities and the "
                     "sign-vector probit Bernoulli distribution, with verification.")

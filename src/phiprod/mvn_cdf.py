@@ -6,15 +6,15 @@ three paths:
 * N = 1: the scalar CDF (exact).
 * N = 2: Owen's T decomposition of the bivariate CDF (exact to ~1e-13).
 * N >= 3: the Genz sequential-conditioning transform to the unit cube
-  (Genz 1992) integrated with a randomly shifted, tent-periodized rank-1
-  lattice rule. One embedded lattice serves every doubling level of a call
-  (Cools, Kuo & Nuyens 2006): a Korobov vector (1, a, a^2, ...) with the
-  fixed multiplier a = 81007, reduced modulo the largest level n_max that
-  the sample budget allows. Level n takes the indices k * (n_max / n), so
-  its points are the even-indexed points of level 2n. The 12 random shifts
-  are drawn once per call and kept for every level, and a running sum per
-  shift means that doubling evaluates only the n new odd-multiple points.
-  The 12 per-shift means yield the estimate and an error bar of three
+  (Genz 1992) integrated over 12 independently scrambled Sobol' nets:
+  direction numbers of Joe & Kuo (2008), each net randomized by
+  Matousek's (1998) linear matrix scrambling and a digital shift, drawn
+  once per call. The first 2^k points of a net are themselves a net, so
+  one net serves every doubling level of a call: level n is its first n
+  points, from 1024 up to the largest power of two that the sample budget
+  allows, and a running sum per net means that doubling evaluates only
+  the n new points. One kernel maps 256 points of all 12 nets at once.
+  The 12 per-net means yield the estimate and an error bar of three
   standard errors. The variables are conditioned in the order of Genz &
   Bretz (2009, sec. 4.1.3; after Gibson, Glasbey & Elston 1994), chosen
   while the Cholesky factor is built: at step i the next variable is the
@@ -22,7 +22,7 @@ three paths:
   t_j is its limit standardized given that each variable already chosen
   sits at its truncated mean E[Z | Z < t] = -phi(t)/Phi(t). Putting the
   most constraining variable first lowers the variance of the integrand,
-  and so the lattice size needed to reach the accuracy.
+  and so the net size needed to reach the accuracy.
 
   The integrand is exponentially tilted by Botev's minimax tilt (JRSS B 79,
   2017): each conditioned variable is drawn from its truncated normal
@@ -43,9 +43,11 @@ before any transform. Results are bit-reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
@@ -56,13 +58,19 @@ from .pd_matrix import PdMatrix, _frozen_vector, _pivot_root, _pivot_threshold
 
 __all__ = ["MvnQuery", "MvnEstimate", "cdf", "bivariate_cdf"]
 
-_N_SHIFTS = 12
+_N_NETS = 12
+# points per net in the first level
 _MIN_LATTICE = 1 << 10
-_DEFAULT_MAX_SAMPLES = (1 << 17) * _N_SHIFTS
+# points per net in one kernel call: arrays of 12 * 256 doubles stay in a
+# core's cache, so that a QMC call does not evict what the calls after it use
+_KERNEL_POINTS = 1 << 8
+_DEFAULT_MAX_SAMPLES = (1 << 17) * _N_NETS
 _RHO_LIMIT = 1.0 - 1e-12
-# odd(round(0.618 * 2^17)): the golden-section Korobov multiplier at the
-# default cap, odd so that it is coprime with every power-of-two level
-_KOROBOV_MULTIPLIER = 81007
+# Joe & Kuo's initial direction numbers for Sobol' dimensions 0..1023,
+# written by tests/data/make_sobol_table.py; the nets have 32-bit digits
+_SOBOL_TABLE = Path(__file__).with_name("sobol_joe_kuo.txt")
+_SOBOL_BITS = 32
+_UNIT = 2.0 ** -_SOBOL_BITS
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _TILT_NEWTON_STEPS = 30
 _TILT_TOLERANCE = 1e-9
@@ -97,13 +105,14 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
 class MvnEstimate:
     """A CDF value with its estimated absolute error and evaluation path.
 
-    ``err_estimate`` is three standard errors over the lattice shifts for
+    ``err_estimate`` is three standard errors over the 12 scrambled nets for
     the QMC path and 0 for the exact paths. ``method`` is one of
     ``univariate``, ``bivariate_owen`` or ``qmc_genz`` here, and
     ``one_factor_trapezoid`` for the scalar-mixing product at N >= 3 (see
     :mod:`phiprod.identities`), whose ``err_estimate`` is the gap between
     its last two step sizes plus the mass outside its window. ``n_points``
-    is the per-shift lattice size behind the value (0 on the exact paths;
+    is the per-net point count behind the value, the size of each of the 12
+    randomized nets (0 on the exact paths;
     the nodes evaluated on ``one_factor_trapezoid``), and ``converged``
     says whether ``err_estimate <= accuracy`` (always True on the exact
     paths). ``order`` lists the query's own variable indices in the order
@@ -127,9 +136,10 @@ class MvnQuery:
 
     upper may contain +inf entries (marginalized exactly); accuracy is the
     target absolute error for the QMC path and must lie in (0, 0.1];
-    max_samples, an integer, bounds the total number of lattice points the
-    QMC path evaluates across the 12 shifts (each point is evaluated once;
-    one 1024-point level per shift is evaluated whatever the budget).
+    max_samples, an integer, bounds the total number of points the QMC path
+    evaluates across its 12 randomized nets (each point is evaluated once;
+    one 1024-point level per net is evaluated whatever the budget, and no
+    net grows past 2^32 points).
 
     Construction is where these are checked, once: upper and mean become
     read-only float copies of shape (cov.dim,), upper entries must be
@@ -156,8 +166,8 @@ class MvnQuery:
             )
         _check_accuracy(self.accuracy)
         max_samples = _as_count("max_samples", self.max_samples)
-        if max_samples < _N_SHIFTS:
-            raise ValueError("max_samples is too small for 12 shifts")
+        if max_samples < _N_NETS:
+            raise ValueError("max_samples is too small for 12 nets")
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "max_samples", max_samples)
@@ -228,27 +238,83 @@ def _exact_estimate(b1: float, var1: float, b2: float | None = None,
                        "bivariate_owen")
 
 
-def _korobov_vector(n_max: int, dim: int) -> np.ndarray:
-    # (1, a, a^2, ...) reduced mod n_max, so that k * z[j] with k < n_max
-    # stays far inside int64 for any feasible lattice size
-    a = _KOROBOV_MULTIPLIER % n_max
-    z = np.empty(dim, dtype=np.int64)
-    acc = 1
-    for j in range(dim):
-        z[j] = acc
-        acc = (acc * a) % n_max
-    return z
+@functools.cache
+def _sobol_directions() -> np.ndarray:
+    """Direction integers of the Sobol' sequence, shape (1024, 32), uint32.
+
+    Row d holds v_d,j = m_j 2^(32 - j) (j = 1..32), the m_j from the
+    initial values of :data:`_SOBOL_TABLE` and, past its degree s, from the
+    recurrence m_j = 2 a_1 m_(j-1) ^ ... ^ 2^(s-1) a_(s-1) m_(j-s+1) ^ 2^s
+    m_(j-s) ^ m_(j-s) of its primitive polynomial (Bratley & Fox 1988;
+    Joe & Kuo 2008). Dimension 0 has s = 0 and every m_j = 1.
+    """
+    table = np.loadtxt(_SOBOL_TABLE, dtype=np.uint32)
+    poly, init = table[:, 0], table[:, 1:]
+    degree = np.array([int(p).bit_length() - 1 for p in poly])
+    ks = np.arange(init.shape[1])
+    # coefficient a_k of x^(s - k - 1), k < s; the constant term is always 1
+    bit = np.maximum(degree[:, None] - 1 - ks, 0).astype(np.uint32)
+    coef = (poly[:, None] >> bit) & (ks < degree[:, None])
+    m = np.ones((poly.size, _SOBOL_BITS), dtype=np.uint32)  # m_j < 2^j
+    m[:, :ks.size] = np.where(ks < degree[:, None], init, 1)
+    rows = np.arange(poly.size)
+    for j in range(1, _SOBOL_BITS):
+        late = degree <= j
+        r, s = rows[late], degree[late]
+        new = m[r, j - s]
+        for k in range(int(s.max())):
+            new ^= coef[r, k] * (m[r, j - k - 1] << np.uint32(k + 1))
+        m[r, j] = new
+    m <<= np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)  # v_d,j
+    m.setflags(write=False)
+    return m
 
 
-def _lattice_points(indices: np.ndarray, z: np.ndarray, n_max: int) -> np.ndarray:
-    """Unshifted points frac(k z / n_max) of the lattice, shape (dim, len(indices))."""
-    return (np.outer(z, indices) % n_max) / n_max
+def _sobol_columns(dim: int) -> np.ndarray:
+    """The unscrambled generator of the first ``dim`` Sobol' dimensions:
+    direction integers of shape (dim, 32). The table ends at 1024
+    dimensions, so a query with more than 1025 finite limits cannot reach
+    the QMC path; past it this raises ValueError."""
+    directions = _sobol_directions()
+    if dim > directions.shape[0]:
+        raise ValueError(f"the Sobol' table ends at {directions.shape[0]} dimensions; "
+                         f"{dim} conditioned variables need more")
+    return directions[:dim]
 
 
-def _genz_shift_sums(chol: np.ndarray, b: np.ndarray, e_first: float,
-                     points: np.ndarray, shifts: np.ndarray,
-                     tilt: np.ndarray) -> np.ndarray:
-    """Sum of the tilted Genz integrand over ``points`` under each shift.
+def _scrambled_net(dim: int, log2_points: int, rng: np.random.Generator
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """12 independent randomizations of the first 2^log2_points Sobol'
+    points in ``dim`` dimensions, as 32-bit integers: Matousek's (1998)
+    linear matrix scrambling with a digital shift, one random
+    lower-triangular binary matrix with a unit diagonal and one XOR shift
+    per dimension and net, all drawn from ``rng``.
+
+    Returns (base, generators). ``base``, of shape (dim, 12, 1024), holds
+    the shifted first 1024 points of each net in natural order; point
+    1024 c + k is base[..., k] XOR the scrambled direction integers
+    ``generators`` (dim, 12, log2_points - 10) of the set bits of c.
+    Digit p of an integer is its bit 31 - p, so a matrix whose column p has
+    digit p set and random digits below it is lower-triangular, and the
+    scrambled image of an integer XORs the columns of its set digits.
+    """
+    words = rng.integers(1 << _SOBOL_BITS, size=(dim, _N_NETS, _SOBOL_BITS + 1),
+                         dtype=np.uint32)
+    digit = np.uint32(1) << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+    columns = (words[..., :-1] & (digit - np.uint32(1))) | digit
+    directions = _sobol_columns(dim)[:, None, :log2_points, None]
+    scrambled = np.bitwise_xor.reduce(
+        np.where(directions & digit != 0, columns[:, :, None, :], np.uint32(0)), axis=-1)
+    base = words[..., -1:]
+    for j in range(_MIN_LATTICE.bit_length() - 1):
+        base = np.concatenate([base, base ^ scrambled[..., j, None]], axis=-1)
+    return base, scrambled[..., _MIN_LATTICE.bit_length() - 1:]
+
+
+def _genz_sums(chol: np.ndarray, b: np.ndarray, e_first: float, u: np.ndarray,
+               tilt: np.ndarray) -> np.ndarray:
+    """Sum of the tilted Genz integrand over the points of each net: ``u``
+    holds the uniforms, shape (n - 1, nets, points).
 
     The integrand is the plain one on the limits b - L tilt times the weight
     exp(-|tilt|^2 / 2 - tilt . y), y the ndtri draws; ``e_first`` is the
@@ -256,51 +322,55 @@ def _genz_shift_sums(chol: np.ndarray, b: np.ndarray, e_first: float,
     """
     n = b.shape[0]
     b = b - chol @ tilt
-    log_scale = -0.5 * (tilt @ tilt)
-    sums = np.empty(shifts.shape[0])
-    y = np.empty_like(points)
-    for s, shift in enumerate(shifts):
-        prod = np.full(points.shape[1], e_first)
-        prev_e = prod
-        for i in range(1, n):
-            u = points[i - 1] + shift[i - 1]
-            u -= np.floor(u)
-            u = 1.0 - np.abs(2.0 * u - 1.0)  # tent periodization
-            y[i - 1] = ndtri(np.clip(u * prev_e, 1e-300, 1.0 - 1e-16))
-            cond = (b[i] - chol[i, :i] @ y[:i]) / chol[i, i]
-            prev_e = ndtr(cond)
-            prod = prod * prev_e
-        sums[s] = (prod * np.exp(log_scale - tilt[:-1] @ y)).sum()
-    return sums
+    flat = u.reshape(n - 1, -1)
+    prod = np.full(flat.shape[1], e_first)
+    prev_e = prod
+    y = np.empty_like(flat)
+    for i in range(1, n):
+        y[i - 1] = ndtri(np.clip(flat[i - 1] * prev_e, 1e-300, 1.0 - 1e-16))
+        prev_e = ndtr((b[i] - chol[i, :i] @ y[:i]) / chol[i, i])
+        prod = prod * prev_e
+    weighted = prod * np.exp(-0.5 * (tilt @ tilt) - tilt[:-1] @ y)
+    return weighted.reshape(u.shape[1], -1).sum(axis=1)
 
 
-def _shift_estimate(means: np.ndarray) -> tuple[float, float]:
-    """(estimate, 3 * standard error) from the per-shift means."""
+def _mean_and_error(means: np.ndarray) -> tuple[float, float]:
+    """(estimate, 3 * standard error) from the per-net means."""
     return float(means.mean()), 3.0 * float(means.std(ddof=1)) / math.sqrt(means.size)
 
 
-def _embedded_lattice_estimate(chol: np.ndarray, b: np.ndarray, tilt: np.ndarray,
-                               z: np.ndarray, shifts: np.ndarray, n_max: int,
-                               accuracy: float) -> tuple[float, float, int]:
-    """Double the level from _MIN_LATTICE up to n_max until the error bar
-    meets ``accuracy``, evaluating each lattice point once.
+def _net_estimate(chol: np.ndarray, b: np.ndarray, tilt: np.ndarray,
+                  net: tuple[np.ndarray, np.ndarray], accuracy: float
+                  ) -> tuple[float, float, int]:
+    """Double the level from _MIN_LATTICE points per net up to the whole
+    ``net`` (see :func:`_scrambled_net`) until the error bar meets
+    ``accuracy``, evaluating each point once, _KERNEL_POINTS points of
+    every net per kernel call.
 
-    Returns (estimate, 3 * standard error, final per-shift level), at once if
-    the error bar is not finite.
+    Block c is the base XOR the generators of the set bits of c. The blocks
+    run in Gray-code order c = i ^ (i >> 1), so each differs from the last
+    by one generator, and the first 2^k of them are still the blocks
+    0..2^k - 1. Returns (estimate, 3 * standard error, final per-net level),
+    at once if the error bar is not finite.
     """
+    base, generators = net
     e_first = float(ndtr(b[0] / chol[0, 0] - tilt[0]))
-    n_points = _MIN_LATTICE
-    indices = np.arange(n_points, dtype=np.int64) * (n_max // n_points)
-    sums = np.zeros(shifts.shape[0])
+    offset = np.zeros_like(base[..., :1])
+    sums = np.zeros(_N_NETS)
+    blocks = 1
     while True:
-        sums += _genz_shift_sums(chol, b, e_first, _lattice_points(indices, z, n_max),
-                                 shifts, tilt)
-        value, err = _shift_estimate(sums / n_points)
-        if err <= accuracy or n_points == n_max or not math.isfinite(err):
+        for i in range(blocks >> 1, blocks):
+            if i:
+                offset ^= generators[..., (i & -i).bit_length() - 1, None]
+            for start in range(0, _MIN_LATTICE, _KERNEL_POINTS):
+                block = base[..., start:start + _KERNEL_POINTS] ^ offset
+                sums += _genz_sums(chol, b, e_first, block * _UNIT, tilt)
+        n_points = blocks * _MIN_LATTICE
+        value, err = _mean_and_error(sums / n_points)
+        if (err <= accuracy or blocks == 1 << generators.shape[-1]
+                or not math.isfinite(err)):
             return value, err, n_points
-        n_points *= 2
-        step = n_max // n_points
-        indices = np.arange(step, n_max, 2 * step, dtype=np.int64)
+        blocks *= 2
 
 
 def _prioritized_cholesky(b: np.ndarray, cov: np.ndarray
@@ -415,24 +485,22 @@ def _qmc_cdf(b: np.ndarray, cov: np.ndarray, labels: np.ndarray, accuracy: float
     order = tuple(labels[order].tolist())
     if b.shape[0] == 1:
         return MvnEstimate(float(ndtr(b[0] / chol[0, 0])), 0.0, "qmc_genz", order=order)
-    per_shift_cap = max(max_samples // _N_SHIFTS, _MIN_LATTICE)
-    n_max = _MIN_LATTICE << ((per_shift_cap // _MIN_LATTICE).bit_length() - 1)
-    dim = b.shape[0] - 1
-    shifts = _rng(seed).random((_N_SHIFTS, dim))
+    per_net_cap = max(max_samples // _N_NETS, _MIN_LATTICE)
+    log2_points = min(per_net_cap.bit_length() - 1, _SOBOL_BITS)
+    net = _scrambled_net(b.shape[0] - 1, log2_points, _rng(seed))
     # tilt only where the bound exp(psi*) on the probability is small next to
     # the accuracy asked for; for larger probabilities the plain integrand
     # needs fewer points
     tilt, psi = _minimax_tilt(chol, b)
     tilted = psi <= math.log(accuracy / _TILT_CROSSOVER)
-    lattice = (_korobov_vector(n_max, dim), shifts, n_max, accuracy)
     if tilted:
         # deep in a tail the weights can overflow where the factors underflow
         # (inf * 0 = nan); the plain integrand, as after a failed solve, cannot
         with np.errstate(over="ignore", invalid="ignore"):
-            value, err, n_points = _embedded_lattice_estimate(chol, b, tilt, *lattice)
+            value, err, n_points = _net_estimate(chol, b, tilt, net, accuracy)
         tilted = math.isfinite(err)
     if not tilted:
-        value, err, n_points = _embedded_lattice_estimate(chol, b, np.zeros_like(b), *lattice)
+        value, err, n_points = _net_estimate(chol, b, np.zeros_like(b), net, accuracy)
     return MvnEstimate(min(max(value, 0.0), 1.0), err, "qmc_genz",
                        n_points=n_points, converged=err <= accuracy, order=order,
                        tilted=tilted)
@@ -442,9 +510,9 @@ def cdf(query: MvnQuery, seed: int = 0, method: str = "auto") -> MvnEstimate:
     """Evaluate P(Z <= upper), Z ~ N(mean, cov).
 
     ``method="auto"`` routes N=1 and N=2 through the exact paths and
-    N >= 3 through randomized-lattice QMC; ``method="qmc"`` forces the QMC
+    N >= 3 through randomized-net QMC; ``method="qmc"`` forces the QMC
     path regardless of dimension; only the tests use it, to check the
-    lattice against the exact N <= 2 paths. The result is deterministic
+    nets against the exact N <= 2 paths. The result is deterministic
     given (query, seed).
 
     Only ``method`` is checked here: the query checked its own fields when

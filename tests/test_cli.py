@@ -388,6 +388,27 @@ class TestFigureCommand:
         assert main(["figure", "--rho", rho]) == 2
 
 
+@pytest.mark.parametrize("option, value, rest", [
+    ("--y", "-1,1", ["pmf", "--mu", "0.3,-0.2", "--cov", "{cov}"]),
+    ("--mu", "-0.3,0.2", ["pmf", "--cov", "{cov}", "--y", "1,1"]),
+    ("--m", "-0.2,0.1", ["scalar", "--mu", "0", "--sigma2", "1", "--v", "1,1"]),
+    # widths must be positive: the library, not the parser, says so
+    ("--v", "-1,1", ["vector", "--mu", "0,0", "--m", "0,0", "--cov", "{cov}"]),
+])
+def test_a_comma_list_starting_negative_is_read_after_a_space(capsys, fixture_cov, option,
+                                                              value, rest):
+    outcomes = []
+    for form in ([option, value], [f"{option}={value}"]):
+        argv = [arg.replace("{cov}", fixture_cov) for arg in rest] + form
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (2 if option == "--v" else 0)
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main([])

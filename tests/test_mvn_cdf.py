@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtr, ndtri
-from scipy.stats import multivariate_normal
+from scipy.stats import multivariate_normal, qmc
 
 from phiprod import mvn_cdf, oracles
 from phiprod.gauss_scalar import cdf as scalar_cdf
@@ -53,25 +56,36 @@ def _query(upper, mean, entries, **kw):
                     cov=PdMatrix.from_entries(n, entries), **kw)
 
 
-def _plain_genz_shift_sums(chol, b, e_first, points, shifts):
-    """The untilted Genz kernel, kept as the reference that the tilted kernel
-    must reproduce bit for bit at a zero tilt."""
+def _plain_genz_sums(chol, b, e_first, u):
+    """The untilted Genz kernel on uniforms ``u`` of shape (n - 1,
+    randomizations, points), one randomization at a time: the reference that
+    the tilted kernel must reproduce bit for bit at a zero tilt."""
     n = b.shape[0]
-    sums = np.empty(shifts.shape[0])
-    y = np.empty_like(points)
-    for s, shift in enumerate(shifts):
+    sums = np.empty(u.shape[1])
+    for r in range(u.shape[1]):
+        points = u[:, r]
         prod = np.full(points.shape[1], e_first)
         prev_e = prod
+        y = np.empty_like(points)
         for i in range(1, n):
-            u = points[i - 1] + shift[i - 1]
-            u -= np.floor(u)
-            u = 1.0 - np.abs(2.0 * u - 1.0)  # tent periodization
-            y[i - 1] = ndtri(np.clip(u * prev_e, 1e-300, 1.0 - 1e-16))
+            y[i - 1] = ndtri(np.clip(points[i - 1] * prev_e, 1e-300, 1.0 - 1e-16))
             cond = (b[i] - chol[i, :i] @ y[:i]) / chol[i, i]
             prev_e = ndtr(cond)
             prod = prod * prev_e
-        sums[s] = prod.sum()
+        sums[r] = prod.sum()
     return sums
+
+
+def _natural_order_net(net, log2_points):
+    """The whole net of :func:`mvn_cdf._scrambled_net` as integers of shape
+    (dim, 12, 2^log2_points) in natural order, point 1024 c + k built at once
+    as base point k XOR the generators of the set bits of c."""
+    base, generators = net
+    blocks = np.arange(1 << (log2_points - 10))
+    bits = (blocks[:, None] >> np.arange(log2_points - 10)) & 1
+    offsets = np.bitwise_xor.reduce(
+        np.where(bits == 1, generators[..., None, :], np.uint32(0)), axis=-1)
+    return (base[..., None, :] ^ offsets[..., None]).reshape(base.shape[:2] + (-1,))
 
 
 def _random_orthant(rng, n, scale=1.5):
@@ -334,20 +348,24 @@ class TestEmbeddedLattice:
         assert sum(seen) <= (n - 1) * max_samples
 
     def test_levels_embed_in_a_single_pass(self, rng):
-        n, n_max = 5, 4096
+        # the doubling loop, a block at a time in Gray-code order, against one
+        # kernel call on the whole net in natural order
+        n, log2_points = 5, 12
         chol = np.linalg.cholesky(_random_pd(rng, n).entries)
         b = rng.uniform(-1, 1, n)
         tilt, _ = mvn_cdf._minimax_tilt(chol, b)
         assert np.abs(tilt).max() > 0.0
-        z = mvn_cdf._korobov_vector(n_max, n - 1)
-        shifts = rng.random((12, n - 1))
-        value, err, n_points = mvn_cdf._embedded_lattice_estimate(
-            chol, b, tilt, z, shifts, n_max, accuracy=1e-12)
-        assert n_points == n_max
+        net = mvn_cdf._scrambled_net(n - 1, log2_points, rng)
+        value, err, n_points = mvn_cdf._net_estimate(chol, b, tilt, net, accuracy=1e-12)
+        assert n_points == 1 << log2_points
+        points = _natural_order_net(net, log2_points)
+        # each randomization is still a net: one point in every interval of
+        # width 2^-log2_points, in every dimension
+        cells = np.sort(points >> (32 - log2_points), axis=-1)
+        assert (cells == np.arange(1 << log2_points)).all()
         e_first = float(mvn_cdf.ndtr(b[0] / chol[0, 0] - tilt[0]))
-        points = mvn_cdf._lattice_points(np.arange(n_max), z, n_max)
-        sums = mvn_cdf._genz_shift_sums(chol, b, e_first, points, shifts, tilt)
-        ref_value, ref_err = mvn_cdf._shift_estimate(sums / n_max)
+        sums = mvn_cdf._genz_sums(chol, b, e_first, points * 2.0 ** -32, tilt)
+        ref_value, ref_err = mvn_cdf._mean_and_error(sums / n_points)
         assert abs(value - ref_value) <= 1e-15
         assert abs(err - ref_err) <= 1e-15
 
@@ -367,6 +385,55 @@ class TestEmbeddedLattice:
     def test_exact_paths_report_no_lattice(self):
         est = cdf(_query([0.0, 0.0], [0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]]))
         assert (est.n_points, est.converged) == (0, True)
+
+
+class TestSobolNet:
+    @pytest.mark.parametrize("dim, m", [(1, 17), (2, 17), (7, 17), (40, 14), (1024, 10)])
+    def test_unscrambled_net_is_scipys(self, dim, m):
+        # scipy walks the net in Gray-code order: its point i is the
+        # natural-order point i ^ (i >> 1); 2^17 points use every direction
+        # integer of a capped call
+        columns = mvn_cdf._sobol_columns(dim)
+        i = np.arange(1 << m)
+        gray = i ^ (i >> 1)
+        points = np.zeros((1 << m, dim), dtype=np.uint32)
+        for j in range(m):
+            points ^= np.where((gray[:, None] >> j) & 1 == 1, columns[:, j], np.uint32(0))
+        expected = qmc.Sobol(dim, scramble=False, bits=32).random(1 << m)
+        assert np.array_equal(points * 2.0 ** -32, expected)
+
+    def test_the_table_ends_at_1024_dimensions(self):
+        rng = np.random.default_rng(0)
+        base, generators = mvn_cdf._scrambled_net(1024, 11, rng)
+        assert base.shape == (1024, 12, 1024) and generators.shape == (1024, 12, 1)
+        with pytest.raises(ValueError, match="ends at 1024 dimensions"):
+            mvn_cdf._scrambled_net(1025, 11, rng)
+
+    def test_a_qmc_call_leaves_scipy_stats_unloaded(self):
+        # scipy.stats adds about 0.7 s and 40 MB to a fresh import
+        code = ("import sys, numpy as np, phiprod; from phiprod.mvn_cdf import cdf; "
+                "q = phiprod.MvnQuery(np.zeros(8), np.zeros(8), "
+                "phiprod.PdMatrix.from_entries(8, np.eye(8) + 0.5)); "
+                "print(cdf(q).method, 'scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.split() == ["qmc_genz", "False"]
+
+    def test_a_call_at_the_cap_holds_little_memory(self, rng):
+        # the kernel takes one block of 1024 points per randomization at a
+        # time, so a call that runs to the default cap of 2^17 points stays
+        # small; the first call of a process loads the Sobol' table
+        n = 8
+        cdf(_query([0.0] * 3, [0.0] * 3, np.eye(3)))
+        q = MvnQuery(rng.uniform(-1, 1, n), np.zeros(n), _random_pd(rng, n), accuracy=1e-12)
+        tracemalloc.start()
+        try:
+            est = cdf(q, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.n_points == 1 << 17
+        assert peak < 4 * 2 ** 20
 
 
 class TestVariableOrder:
@@ -450,11 +517,9 @@ class TestMinimaxTilt:
             chol = np.linalg.cholesky(_random_pd(rng, n).entries)
             b = rng.uniform(-2.0, 2.0, n)
             e_first = float(ndtr(b[0] / chol[0, 0]))
-            points = rng.random((n - 1, 256))
-            shifts = rng.random((12, n - 1))
-            tilted = mvn_cdf._genz_shift_sums(chol, b, e_first, points, shifts,
-                                              np.zeros(n))
-            plain = _plain_genz_shift_sums(chol, b, e_first, points, shifts)
+            u = rng.random((n - 1, 12, 256))
+            tilted = mvn_cdf._genz_sums(chol, b, e_first, u, np.zeros(n))
+            plain = _plain_genz_sums(chol, b, e_first, u)
             assert np.array_equal(tilted, plain)
 
     def test_tilted_and_plain_estimates_agree(self, rng):
@@ -470,13 +535,9 @@ class TestMinimaxTilt:
             _, b, chol = mvn_cdf._prioritized_cholesky(b, cov)
             tilt, psi = mvn_cdf._minimax_tilt(chol, b)
             assert math.isfinite(psi)
-            n_max = 1 << 17
-            z = mvn_cdf._korobov_vector(n_max, n - 1)
-            shifts = np.random.default_rng(i).random((12, n - 1))
-            tilted, tilted_err, _ = mvn_cdf._embedded_lattice_estimate(
-                chol, b, tilt, z, shifts, n_max, 1e-5)
-            plain, plain_err, _ = mvn_cdf._embedded_lattice_estimate(
-                chol, b, np.zeros(n), z, shifts, n_max, 1e-5)
+            net = mvn_cdf._scrambled_net(n - 1, 17, np.random.default_rng(i))
+            tilted, tilted_err, _ = mvn_cdf._net_estimate(chol, b, tilt, net, 1e-5)
+            plain, plain_err, _ = mvn_cdf._net_estimate(chol, b, np.zeros(n), net, 1e-5)
             assert abs(tilted - plain) <= tilted_err + plain_err
 
     def test_tail_orthant_keeps_its_relative_error(self):

@@ -11,18 +11,18 @@ three paths:
   Matousek's (1998) linear matrix scrambling and a digital shift, drawn
   once per call. The first 2^k points of a net are themselves a net, so
   one net serves every doubling level of a call: level n is its first n
-  points, from 1024 up to the largest power of two that the sample budget
+  points, from 512 up to the largest power of two that the sample budget
   allows, and a running sum per net means that doubling evaluates only
   the n new points. One kernel maps 256 points of all 12 nets at once.
-  The 12 per-net means yield the estimate and an error bar of three
-  standard errors. The variables are conditioned in the order of Genz &
-  Bretz (2009, sec. 4.1.3; after Gibson, Glasbey & Elston 1994), chosen
-  while the Cholesky factor is built: at step i the next variable is the
-  remaining one with the smallest conditional probability Phi(t_j), where
-  t_j is its limit standardized given that each variable already chosen
-  sits at its truncated mean E[Z | Z < t] = -phi(t)/Phi(t). Putting the
-  most constraining variable first lowers the variance of the integrand,
-  and so the net size needed to reach the accuracy.
+  The 12 per-net means yield the estimate and an error bar of three standard
+  errors, four at the first level. The variables are conditioned in the
+  order of Genz & Bretz (2009, sec. 4.1.3; after Gibson, Glasbey & Elston
+  1994), chosen while the Cholesky factor is built: at step i the next
+  variable is the remaining one with the smallest conditional probability
+  Phi(t_j), where t_j is its limit standardized given that each variable
+  already chosen sits at its truncated mean E[Z | Z < t] = -phi(t)/Phi(t).
+  Putting the most constraining variable first lowers the variance of the
+  integrand, and so the net size needed to reach the accuracy.
 
   The integrand is exponentially tilted by Botev's minimax tilt (JRSS B 79,
   2017): each conditioned variable is drawn from its truncated normal
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri, owens_t
 
 from .gauss_scalar import cdf as _scalar_cdf
 from .gauss_scalar import owen_t
@@ -60,7 +60,14 @@ __all__ = ["MvnQuery", "MvnEstimate", "cdf", "bivariate_cdf"]
 
 _N_NETS = 12
 # points per net in the first level
-_MIN_LATTICE = 1 << 10
+_MIN_LATTICE = 1 << 9
+# error bars in standard errors of the 12 per-net means. The 512-point means
+# of the first level stray further from Gaussian than later ones: on 1500
+# held-out calls at accuracy 1e-4, most stopping there, a 3-SE bar missed
+# the reference on 2.0% (1.3% with a 1024-point first level, 1.2% for
+# Gaussian means) and a 4-SE bar on 0.3%
+_BAR_SES = 3.0
+_FIRST_BAR_SES = 4.0
 # points per net in one kernel call: arrays of 12 * 256 doubles stay in a
 # core's cache, so that a QMC call does not evict what the calls after it use
 _KERNEL_POINTS = 1 << 8
@@ -106,11 +113,12 @@ class MvnEstimate:
     """A CDF value with its estimated absolute error and evaluation path.
 
     ``err_estimate`` is three standard errors over the 12 scrambled nets for
-    the QMC path and 0 for the exact paths. ``method`` is one of
-    ``univariate``, ``bivariate_owen`` or ``qmc_genz`` here, and
-    ``one_factor_trapezoid`` for the scalar-mixing product at N >= 3 (see
-    :mod:`phiprod.identities`), whose ``err_estimate`` is the gap between
-    its last two step sizes plus the mass outside its window. ``n_points``
+    the QMC path (four when the call stops at its first level) and 0 for
+    the exact paths. ``method`` is one of ``univariate``, ``bivariate_owen``
+    or ``qmc_genz`` here, and ``one_factor_trapezoid`` for the
+    scalar-mixing product at N >= 3 (see :mod:`phiprod.identities`), whose
+    ``err_estimate`` is the gap between its last two step sizes plus the
+    mass outside its window. ``n_points``
     is the per-net point count behind the value, the size of each of the 12
     randomized nets (0 on the exact paths;
     the nodes evaluated on ``one_factor_trapezoid``), and ``converged``
@@ -138,7 +146,7 @@ class MvnQuery:
     target absolute error for the QMC path and must lie in (0, 0.1];
     max_samples, an integer, bounds the total number of points the QMC path
     evaluates across its 12 randomized nets (each point is evaluated once;
-    one 1024-point level per net is evaluated whatever the budget, and no
+    one 512-point level per net is evaluated whatever the budget, and no
     net grows past 2^32 points).
 
     Construction is where these are checked, once: upper and mean become
@@ -189,7 +197,7 @@ def bivariate_cdf(h: float, k: float, rho: float) -> float:
     with delta = 1/2 when h and k have opposite signs, and the limiting form
     Phi2(0, k, rho) = Phi(k)/2 + T(k, rho/sqrt(1-rho^2)) on the axes
     (h = k = 0 reduces to 1/4 + arcsin(rho)/(2 pi) through T(0, .)). Where
-    k/h or h/k overflows, the T term takes its limit T(h, +-inf) =
+    k/h or h/k overflows, scipy's T takes its limit T(h, +-inf) =
     +-Phi(-|h|)/2.
     """
     h, k, rho = float(h), float(k), float(rho)
@@ -205,23 +213,12 @@ def bivariate_cdf(h: float, k: float, rho: float) -> float:
     elif k == 0.0:
         value = 0.5 * _scalar_cdf(h) + owen_t(h, rho / root)
     else:
-        ah = (k / h - rho) / root
-        ak = (h / k - rho) / root
-        value = (0.5 * (_scalar_cdf(h) + _scalar_cdf(k))
-                 - _owen_t_extended(h, ah) - _owen_t_extended(k, ak))
+        t_h, t_k = owens_t((h, k), ((k / h - rho) / root, (h / k - rho) / root)).tolist()
+        value = 0.5 * (_scalar_cdf(h) + _scalar_cdf(k)) - t_h - t_k
         # opposite signs; h * k < 0 would miss them when the product underflows
         if (h < 0.0) != (k < 0.0):
             value -= 0.5
     return min(max(value, 0.0), 1.0)
-
-
-def _owen_t_extended(h: float, a: float) -> float:
-    """T(h, a) with the limit T(h, +-inf) = +-Phi(-|h|)/2, which
-    :func:`bivariate_cdf` reaches when k/h or h/k overflows (a limit next to
-    a subnormal one)."""
-    if math.isinf(a):
-        return math.copysign(0.5 * _scalar_cdf(-abs(h)), a)
-    return owen_t(h, a)
 
 
 def _exact_estimate(b1: float, var1: float, b2: float | None = None,
@@ -290,10 +287,10 @@ def _scrambled_net(dim: int, log2_points: int, rng: np.random.Generator
     lower-triangular binary matrix with a unit diagonal and one XOR shift
     per dimension and net, all drawn from ``rng``.
 
-    Returns (base, generators). ``base``, of shape (dim, 12, 1024), holds
-    the shifted first 1024 points of each net in natural order; point
-    1024 c + k is base[..., k] XOR the scrambled direction integers
-    ``generators`` (dim, 12, log2_points - 10) of the set bits of c.
+    Returns (base, generators). ``base``, of shape (dim, 12, 512), holds
+    the shifted first _MIN_LATTICE = 512 points of each net in natural
+    order; point 512 c + k is base[..., k] XOR the scrambled direction
+    integers ``generators`` (dim, 12, log2_points - 9) of the set bits of c.
     Digit p of an integer is its bit 31 - p, so a matrix whose column p has
     digit p set and random digits below it is lower-triangular, and the
     scrambled image of an integer XORs the columns of its set digits.
@@ -334,9 +331,9 @@ def _genz_sums(chol: np.ndarray, b: np.ndarray, e_first: float, u: np.ndarray,
     return weighted.reshape(u.shape[1], -1).sum(axis=1)
 
 
-def _mean_and_error(means: np.ndarray) -> tuple[float, float]:
-    """(estimate, 3 * standard error) from the per-net means."""
-    return float(means.mean()), 3.0 * float(means.std(ddof=1)) / math.sqrt(means.size)
+def _mean_and_error(means: np.ndarray, ses: float = _BAR_SES) -> tuple[float, float]:
+    """(estimate, ``ses`` * standard error) from the per-net means."""
+    return float(means.mean()), ses * float(means.std(ddof=1)) / math.sqrt(means.size)
 
 
 def _net_estimate(chol: np.ndarray, b: np.ndarray, tilt: np.ndarray,
@@ -350,8 +347,9 @@ def _net_estimate(chol: np.ndarray, b: np.ndarray, tilt: np.ndarray,
     Block c is the base XOR the generators of the set bits of c. The blocks
     run in Gray-code order c = i ^ (i >> 1), so each differs from the last
     by one generator, and the first 2^k of them are still the blocks
-    0..2^k - 1. Returns (estimate, 3 * standard error, final per-net level),
-    at once if the error bar is not finite.
+    0..2^k - 1. Returns (estimate, error bar, final per-net level), at once
+    if the error bar is not finite; the bar is _FIRST_BAR_SES standard
+    errors at the first level and _BAR_SES after it.
     """
     base, generators = net
     e_first = float(ndtr(b[0] / chol[0, 0] - tilt[0]))
@@ -366,7 +364,8 @@ def _net_estimate(chol: np.ndarray, b: np.ndarray, tilt: np.ndarray,
                 block = base[..., start:start + _KERNEL_POINTS] ^ offset
                 sums += _genz_sums(chol, b, e_first, block * _UNIT, tilt)
         n_points = blocks * _MIN_LATTICE
-        value, err = _mean_and_error(sums / n_points)
+        value, err = _mean_and_error(sums / n_points,
+                                     _FIRST_BAR_SES if blocks == 1 else _BAR_SES)
         if (err <= accuracy or blocks == 1 << generators.shape[-1]
                 or not math.isfinite(err)):
             return value, err, n_points

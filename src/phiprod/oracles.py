@@ -109,7 +109,9 @@ def cdf_product_scalar_quad(params: ScalarMixParams, order: int = 200) -> float:
 
 def mc_threshold(std_error: float, err_estimate: float) -> float:
     """3 sqrt(std_error^2 + (err_estimate / 3)^2): the largest gap at which an
-    estimate with a 3-SE bar ``err_estimate`` agrees with a Monte Carlo value."""
+    estimate with a 3-SE bar ``err_estimate`` agrees with a Monte Carlo value.
+    A QMC call that stops at its first level reports a 4-SE bar, which
+    widens its term here by a third."""
     return 3.0 * math.sqrt(std_error * std_error + (err_estimate / 3.0) ** 2)
 
 

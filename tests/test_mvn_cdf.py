@@ -24,6 +24,7 @@ from phiprod.identities import (ScalarMixParams, VectorMixParams, cdf_product_sc
                                 cdf_product_vector)
 from phiprod.probit_bernoulli import ProbitBernoulli, SignVector
 from phiprod.verify import _random_pd, run_suites
+from qmc_sets import bar_ratios, heldout_queries
 
 
 HONESTY_REFERENCE = Path(__file__).parent / "data" / "honesty_reference.json"
@@ -78,11 +79,13 @@ def _plain_genz_sums(chol, b, e_first, u):
 
 def _natural_order_net(net, log2_points):
     """The whole net of :func:`mvn_cdf._scrambled_net` as integers of shape
-    (dim, 12, 2^log2_points) in natural order, point 1024 c + k built at once
-    as base point k XOR the generators of the set bits of c."""
+    (dim, 12, 2^log2_points) in natural order, point w c + k built at once
+    as base point k XOR the generators of the set bits of c, where the base
+    width w is _MIN_LATTICE."""
     base, generators = net
-    blocks = np.arange(1 << (log2_points - 10))
-    bits = (blocks[:, None] >> np.arange(log2_points - 10)) & 1
+    levels = log2_points - (mvn_cdf._MIN_LATTICE.bit_length() - 1)
+    blocks = np.arange(1 << levels)
+    bits = (blocks[:, None] >> np.arange(levels)) & 1
     offsets = np.bitwise_xor.reduce(
         np.where(bits == 1, generators[..., None, :], np.uint32(0)), axis=-1)
     return (base[..., None, :] ^ offsets[..., None]).reshape(base.shape[:2] + (-1,))
@@ -239,6 +242,22 @@ class TestBivariate:
         assert abs(value - axis) <= 1e-15
         assert abs(value - oracles.bivariate_cdf_quad(h, k, rho)) <= 1e-12
 
+    def test_one_owens_t_call_gives_the_bits_of_two(self, rng):
+        # the two-term branch takes both T terms from one scipy call; the
+        # reference is the same formula with one owen_t call per term
+        def two_calls(h, k, rho):
+            root = math.sqrt((1.0 - rho) * (1.0 + rho))
+            value = (0.5 * (scalar_cdf(h) + scalar_cdf(k))
+                     - owen_t(h, (k / h - rho) / root) - owen_t(k, (h / k - rho) / root))
+            if (h < 0.0) != (k < 0.0):
+                value -= 0.5
+            return min(max(value, 0.0), 1.0)
+
+        h, k = rng.uniform(-6.0, 6.0, (2, 2000)).tolist()
+        rho = rng.uniform(-0.99, 0.99, 2000).tolist()
+        for args in zip(h, k, rho):
+            assert bivariate_cdf(*args) == two_calls(*args)
+
     def test_numpy_arguments_raise_no_warning(self):
         # k / h overflows next to a subnormal h; a numpy scalar division
         # would warn there, so the arguments are taken as Python floats
@@ -327,6 +346,8 @@ class TestEmbeddedLattice:
     @pytest.mark.parametrize("accuracy, max_samples", [
         (1e-6, mvn_cdf._DEFAULT_MAX_SAMPLES),
         (1e-9, 12 * 4096),
+        # exactly one 512-point first level per net, spent to the point
+        (1e-9, 12 * 512),
     ])
     def test_no_point_is_evaluated_twice(self, monkeypatch, rng, accuracy,
                                          max_samples):
@@ -405,7 +426,7 @@ class TestSobolNet:
     def test_the_table_ends_at_1024_dimensions(self):
         rng = np.random.default_rng(0)
         base, generators = mvn_cdf._scrambled_net(1024, 11, rng)
-        assert base.shape == (1024, 12, 1024) and generators.shape == (1024, 12, 1)
+        assert base.shape == (1024, 12, 512) and generators.shape == (1024, 12, 2)
         with pytest.raises(ValueError, match="ends at 1024 dimensions"):
             mvn_cdf._scrambled_net(1025, 11, rng)
 
@@ -420,9 +441,9 @@ class TestSobolNet:
         assert out.split() == ["qmc_genz", "False"]
 
     def test_a_call_at_the_cap_holds_little_memory(self, rng):
-        # the kernel takes one block of 1024 points per randomization at a
-        # time, so a call that runs to the default cap of 2^17 points stays
-        # small; the first call of a process loads the Sobol' table
+        # the kernel takes 256 points per net (_KERNEL_POINTS) at a time, so
+        # a call that runs to the default cap of 2^17 points stays small; the
+        # first call of a process loads the Sobol' table
         n = 8
         cdf(_query([0.0] * 3, [0.0] * 3, np.eye(3)))
         q = MvnQuery(rng.uniform(-1, 1, n), np.zeros(n), _random_pd(rng, n), accuracy=1e-12)
@@ -498,16 +519,28 @@ class TestVariableOrder:
         # stored values by up to 1.5e-6); it guards them against staleness.
         stored = json.loads(HONESTY_REFERENCE.read_text())
         assert len(stored) == 200
-        ratios = []
+        queries = []
         for (i, upper, mean, cov), ref in zip(honesty_queries(), stored):
-            est = cdf(MvnQuery(upper=upper, mean=mean, cov=PdMatrix.from_entries(
-                upper.size, cov), accuracy=1e-4), seed=i)
             live = multivariate_normal(mean=mean, cov=cov, abseps=1e-6, releps=0.0,
                                        seed=i).cdf(upper)
             assert abs(live - ref) <= 2e-6
-            ratios.append(abs(est.value - ref) / est.err_estimate)
+            queries.append((MvnQuery(upper=upper, mean=mean, cov=PdMatrix.from_entries(
+                upper.size, cov), accuracy=1e-4), ref))
+        ratios, _ = bar_ratios(queries)
         assert np.mean(ratios) <= 0.45
         assert sum(r > 1.0 for r in ratios) <= 10
+
+    def test_error_bars_are_honest_on_the_held_out_set(self):
+        # the budget buys one first level per net, so this judges the bar of
+        # the smallest level a call evaluates (at accuracy 1e-4 and the
+        # default budget, most of the 300 calls stop there too). A 1024-point
+        # first level with a 3-SE bar puts 3 calls above 1; a 512-point one
+        # with a 3-SE bar puts 7 there and fails
+        ratios, _ = bar_ratios(heldout_queries(
+            accuracy=1e-4, max_samples=12 * mvn_cdf._MIN_LATTICE))
+        assert len(ratios) == 300
+        assert ratios.mean() <= 0.38
+        assert (ratios > 1.0).sum() <= 4
 
 
 class TestMinimaxTilt:

@@ -24,7 +24,7 @@ from . import oracles, verify
 from .identities import ScalarMixParams, VectorMixParams, cdf_product_scalar, \
     cdf_product_vector
 from .mvn_cdf import MvnEstimate
-from .pd_matrix import InternalConsistencyError, PdMatrix
+from .pd_matrix import PdMatrix
 from .probit_bernoulli import ProbitBernoulli, SignVector
 
 _FMT = "%.17g"
@@ -353,9 +353,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InternalConsistencyError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -482,8 +482,6 @@ def _qmc_cdf(b: np.ndarray, cov: np.ndarray, labels: np.ndarray, accuracy: float
     # positions in b back to the query's variable indices
     order, b, chol = _prioritized_cholesky(b, cov)
     order = tuple(labels[order].tolist())
-    if b.shape[0] == 1:
-        return MvnEstimate(float(ndtr(b[0] / chol[0, 0])), 0.0, "qmc_genz", order=order)
     per_net_cap = max(max_samples // _N_NETS, _MIN_LATTICE)
     log2_points = min(per_net_cap.bit_length() - 1, _SOBOL_BITS)
     net = _scrambled_net(b.shape[0] - 1, log2_points, _rng(seed))
@@ -505,30 +503,25 @@ def _qmc_cdf(b: np.ndarray, cov: np.ndarray, labels: np.ndarray, accuracy: float
                        tilted=tilted)
 
 
-def cdf(query: MvnQuery, seed: int = 0, method: str = "auto") -> MvnEstimate:
+def cdf(query: MvnQuery, seed: int = 0) -> MvnEstimate:
     """Evaluate P(Z <= upper), Z ~ N(mean, cov).
 
-    ``method="auto"`` routes N=1 and N=2 through the exact paths and
-    N >= 3 through randomized-net QMC; ``method="qmc"`` forces the QMC
-    path regardless of dimension; only the tests use it, to check the
-    nets against the exact N <= 2 paths. The result is deterministic
-    given (query, seed).
+    One or two finite limits take the exact paths, three or more
+    randomized-net QMC. The result is deterministic given (query, seed).
 
-    Only ``method`` is checked here: the query checked its own fields when
-    it was built. The exact paths read the limits, the mean and the few
+    Nothing is checked here: the query checked its own fields when it was
+    built. The exact paths read the limits, the mean and the few
     covariance entries they need as Python floats, in the order of
     operations of the array form, so they return the same bits; only the
     QMC path slices arrays.
     """
-    if method not in ("auto", "qmc"):
-        raise ValueError(f"method must be 'auto' or 'qmc', got {method!r}")
     upper = query.upper.tolist()
     # the query holds finite and +inf limits only
     active = [i for i, u in enumerate(upper) if u != math.inf]
     n = len(active)
     if n == 0:
         return MvnEstimate(1.0, 0.0, "univariate")
-    if method == "auto" and n <= 2:
+    if n <= 2:
         mean = query.mean.tolist()
         cov = query.cov.entries
         i, j = active[0], active[-1]

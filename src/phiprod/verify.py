@@ -122,8 +122,7 @@ def _suite_matrix(trials: int, seed: int, accuracy: float, perturb: float):
         det = pd_matrix.full_cov_determinant(sigma2, v) + perturb
         closed = sigma2 * float(np.prod(v * v))
         worst = max(worst, abs(det - closed) / closed)
-    yield CheckResult("matrix", "bordered_determinant_identity",
-                      worst <= pd_matrix._DET_RTOL,
+    yield CheckResult("matrix", "bordered_determinant_identity", worst <= 1e-10,
                       f"max rel disagreement = {worst:.3g}")
 
     worst = 0.0
@@ -136,8 +135,7 @@ def _suite_matrix(trials: int, seed: int, accuracy: float, perturb: float):
         resid = np.linalg.norm(
             cov @ pd_matrix.assemble_precision(blocks) - np.eye(n + 1))
         worst = max(worst, resid)
-    yield CheckResult("matrix", "partitioned_inverse_identity",
-                      worst <= pd_matrix._RESID_FROB_TOL,
+    yield CheckResult("matrix", "partitioned_inverse_identity", worst <= 1e-10,
                       f"max Frobenius residual = {worst:.3g}")
 
     worst = 0.0

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from phiprod.cli import main
+from phiprod.pd_matrix import PdMatrix
 
 # written by data/make_cli_golden.py
 CLI_GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -267,6 +268,21 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "matrix", "--trials", "5",
                      "--perturb", "1e-3"])
         assert code == 1
+
+    def test_biased_determinant_fails_its_check_only(self, capsys, monkeypatch):
+        # a real fault in the library, not a --perturb bias: the report still
+        # comes out whole, with the determinant identity as its one failure
+        det = PdMatrix.det
+        monkeypatch.setattr(PdMatrix, "det", lambda self: det(self) * (1.0 + 1e-8))
+        code = main(["verify", "--suite", "matrix", "--trials", "5", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert {check["name"]: check["pass"] for check in payload["checks"]} == {
+            "cholesky_reconstruction": True,
+            "bordered_determinant_identity": False,
+            "partitioned_inverse_identity": True,
+            "cholesky_solve_residual": True,
+        }
 
     def test_json_report(self, capsys):
         code = main(["verify", "--suite", "matrix", "--trials", "5", "--json"])

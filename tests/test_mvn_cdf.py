@@ -164,10 +164,9 @@ def _mixed_infinite_limits(draw):
 
 
 class TestInfiniteLimits:
-    @given(_mixed_infinite_limits(), st.sampled_from([1e-4, 1e-3, 1e-2]),
-           st.sampled_from(["auto", "qmc"]))
+    @given(_mixed_infinite_limits(), st.sampled_from([1e-4, 1e-3, 1e-2]))
     @settings(max_examples=40, deadline=None)
-    def test_equal_to_the_reduced_query(self, case, accuracy, method):
+    def test_equal_to_the_reduced_query(self, case, accuracy):
         n, infinite, seed = case
         rng = np.random.default_rng(seed)
         cov = _random_pd(rng, n)
@@ -176,16 +175,16 @@ class TestInfiniteLimits:
         upper[infinite] = math.inf
         active = np.flatnonzero(~infinite)
         est = cdf(MvnQuery(upper=upper, mean=mean, cov=cov, accuracy=accuracy),
-                  seed=seed, method=method)
+                  seed=seed)
         reduced = cdf(MvnQuery(
             upper=upper[active], mean=mean[active],
             cov=PdMatrix.from_entries(active.size, cov.entries[np.ix_(active, active)]),
-            accuracy=accuracy), seed=seed, method=method)
+            accuracy=accuracy), seed=seed)
         fields = ("value", "err_estimate", "n_points", "method", "converged", "tilted")
         assert [getattr(est, f) for f in fields] == [getattr(reduced, f) for f in fields]
         assert est.order == tuple(active[list(reduced.order)].tolist())
         everything = cdf(MvnQuery(upper=np.full(n, math.inf), mean=mean, cov=cov,
-                                  accuracy=accuracy), seed=seed, method=method)
+                                  accuracy=accuracy), seed=seed)
         assert (everything.value, everything.err_estimate, everything.method) == (
             1.0, 0.0, "univariate")
 
@@ -295,7 +294,8 @@ class TestQmcPath:
                 for rho in np.linspace(-0.8, 0.8, 9):
                     q = _query([h, k], [0.0, 0.0],
                                [[1.0, rho], [rho, 1.0]], accuracy=5e-4)
-                    est = cdf(q, seed=11, method="qmc")
+                    est = mvn_cdf._qmc_cdf(q.upper - q.mean, q.cov.entries, np.arange(2),
+                                           q.accuracy, q.max_samples, 11)
                     exact = bivariate_cdf(float(h), float(k), float(rho))
                     assert est.method == "qmc_genz"
                     assert abs(est.value - exact) <= max(3.0 * est.err_estimate, 1e-7)
@@ -493,8 +493,6 @@ class TestVariableOrder:
     def test_exact_paths_report_no_order(self):
         assert cdf(_query([0.3], [0.0], [[1.0]])).order == ()
         assert cdf(_query([0.3, math.inf, 0.1], [0.0] * 3, np.eye(3))).order == ()
-        forced = cdf(_query([0.3, math.inf], [0.0] * 2, np.eye(2)), method="qmc")
-        assert forced.order == (0,)
 
     def test_near_singular_pivot_raises_as_the_reordered_cholesky_does(self):
         # variable 2 repeats variable 0 up to a variance of 1e-13; 0 is
@@ -785,10 +783,6 @@ class TestQueryValidation:
                      max_samples=np.int64(12 * 4096))
         assert type(q.max_samples) is int
         assert cdf(q, seed=0).n_points <= 4096
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            cdf(_query([0.0], [0.0], [[1.0]]), method="exact")
 
     def test_estimate_within_unit_interval(self, rng):
         for _ in range(10):

@@ -358,6 +358,6 @@ class TestJsonRoundTrip:
 
 
 def test_internal_consistency_error_is_raisable():
-    # the guarded identities cannot be made to fail through the public API;
-    # the exception type itself is part of the contract
+    # the library raises it nowhere, since verify makes the bordered-model
+    # comparisons; the exception type itself is part of the contract
     assert issubclass(InternalConsistencyError, RuntimeError)
